@@ -7,14 +7,8 @@ Run:  python examples/quickstart.py
 import os
 import tempfile
 
-from repro import (
-    ATPGConfig,
-    ReproConfig,
-    Session,
-    figure1,
-    learn,
-    run_atpg,
-)
+from repro import figure1, learn, run_atpg
+from repro.api import ATPGRequest, LearnRequest, execute
 
 
 def main() -> None:
@@ -54,22 +48,19 @@ def main() -> None:
               f"  test-coverage={100 * stats.test_coverage:5.1f}%"
               f"  cpu={stats.cpu_s:5.2f}s")
 
-    # --- The same pipeline via the Session API ------------------------
+    # --- The same pipeline via the request API ------------------------
     # Learn once, save the artifact, reuse it without relearning: this
     # is the canonical flow (and what `repro learn --save` / `repro atpg
     # --learned` run under the hood).
-    print("\nSession pipeline (learn once, reuse the artifact):")
-    session = Session("figure1",
-                      ReproConfig(atpg=ATPGConfig(mode="known")))
+    print("\nRequest API (learn once, reuse the artifact):")
     with tempfile.TemporaryDirectory() as tmp:
         artifact = os.path.join(tmp, "figure1.learn.json")
-        session.save_learned(artifact)
+        learned_run = execute(LearnRequest(spec="figure1", save=artifact))
+        print(f"  learn: {learned_run.result['learn']}")
 
-        rerun = Session("figure1",
-                        ReproConfig(atpg=ATPGConfig(mode="known")))
-        rerun.load_learned(artifact)         # learning stage skipped
-        print(f"  {rerun.atpg().row()}")
-
+        rerun = execute(ATPGRequest(spec="figure1", modes=("known",),
+                                    learned=artifact))  # no relearning
+        print(f"  atpg:  {rerun.result['atpg']['known']}")
 
 if __name__ == "__main__":
     main()

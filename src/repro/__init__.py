@@ -19,10 +19,9 @@ build a typed request, execute it, read the response envelope::
 
 The same requests drive the CLI (``repro learn figure1 --save f.json``
 then ``repro atpg figure1 --learned f.json --json``) and the warm
-``repro serve`` daemon (``POST /v1/execute``).  The pre-API
-:class:`repro.flow.Session` facade remains as a deprecation shim, and
-the original free functions (:func:`learn`, :func:`run_atpg`, ...) stay
-available as the underlying primitives.
+``repro serve`` daemon (``POST /v1/execute``).  The original free
+functions (:func:`learn`, :func:`run_atpg`, ...) stay available as the
+underlying primitives.
 
 Packages:
 
@@ -71,7 +70,6 @@ from .flow import (
     ConfigError,
     PipelineSession,
     ReproConfig,
-    Session,
     StaleArtifactError,
     SuiteReport,
     circuit_fingerprint,
@@ -96,7 +94,7 @@ __all__ = [
     "analyze_state_space",
     "FrameSimulator", "fault_simulate", "simulate_sequence",
     "ATPGConfig", "ArtifactError", "CircuitResolveError", "ConfigError",
-    "PipelineSession", "ReproConfig", "Session", "StaleArtifactError",
+    "PipelineSession", "ReproConfig", "StaleArtifactError",
     "SuiteReport", "circuit_fingerprint", "load_learn_result",
     "resolve_circuit", "run_suite", "save_learn_result",
     "api", "Response", "execute",

@@ -10,7 +10,7 @@ One stable surface for every client.  Build a typed request, hand it to
     print(response.result["atpg"]["known"])
 
 The CLI is a thin argv adapter over this module; ``repro serve``
-(:mod:`repro.api.server`) exposes the same ``execute`` over JSON/HTTP
+(:mod:`repro.serve.daemon`) exposes the same ``execute`` over JSON/HTTP
 from one warm process.  Responses are deterministic: a daemon thread
 and a one-shot CLI run produce the same envelope, byte-identical when
 the request sets ``canonical=True``.
@@ -25,8 +25,9 @@ Module map:
   ResultEvent protocol
 * :mod:`repro.api.store`     -- content-addressed learn-artifact store
 * :mod:`repro.api.errors`    -- the :class:`ReproError` taxonomy
-* :mod:`repro.api.server`    -- the ``repro serve`` JSON-over-HTTP
-  daemon
+
+``make_server`` and ``serve`` are loaded lazily from
+:mod:`repro.serve.daemon`, the ``repro serve`` JSON-over-HTTP daemon.
 
 ``__all__`` is the public API surface and is guarded by a checked-in
 manifest (``tests/data/api_manifest.json``): additions and removals are
@@ -103,7 +104,7 @@ def __getattr__(name):
     # The server pulls in http.server; load it lazily so importing the
     # API for a one-shot run never pays for (or requires) it.
     if name in ("make_server", "serve"):
-        from . import server
+        from ..serve import daemon
 
-        return getattr(server, name)
+        return getattr(daemon, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,7 +34,7 @@ class ReproError(Exception):
     ``code`` is the stable machine-readable failure class (one per
     subclass); ``stage`` names the pipeline stage that was running
     (``"config"``, ``"resolve"``, ``"learn"``, ``"atpg[known]"``, ...);
-    ``http_status`` is what :mod:`repro.api.server` answers with.
+    ``http_status`` is what :mod:`repro.serve.daemon` answers with.
     """
 
     code = "error"

@@ -338,15 +338,12 @@ def _run_shard(request: ShardRequest, tracker: StageTracker,
 def _run_stats(request: StatsRequest, tracker: StageTracker,
                store: Optional[ArtifactStore],
                sink: Optional[EventSink]) -> Response:
-    from ..sim.array_backend import pattern_cache_stats
-
     session = _session_for(request, tracker)
     circuit = session.circuit
     _emit_plan(sink, plan_request(request, circuit, store))
     payload: Dict[str, object] = {"circuit": circuit.name,
                                   "fingerprint": circuit.fingerprint()}
     payload.update(circuit.stats())
-    payload["pattern_cache"] = pattern_cache_stats()
     if store is not None:
         payload["artifact_store"] = store.stats()
     return _finish(request, payload)

@@ -99,8 +99,18 @@ class Request:
 
     # ------------------------------------------------------------------
     def validate(self) -> "Request":
-        """Validate field values; returns self (chainable)."""
+        """Validate field values; returns self (chainable).
+
+        A plain-dict ``config`` is coerced through
+        :meth:`ReproConfig.from_dict` first, so a bad dict fails as a
+        config error.
+        """
         config = getattr(self, "config", None)
+        if isinstance(config, dict):
+            config = self.config = ReproConfig.from_dict(config)
+        elif config is not None and not isinstance(config, ReproConfig):
+            raise RequestError(
+                f"{type(self).__name__}.config must be an object")
         if config is not None:
             config.validate()
         priority = getattr(self, "priority", "interactive")
@@ -207,12 +217,6 @@ class Request:
         if unknown:
             raise RequestError(
                 f"unknown {cls.__name__} fields: {sorted(unknown)}")
-        if "config" in data and not isinstance(data["config"],
-                                               ReproConfig):
-            if not isinstance(data["config"], dict):
-                raise RequestError(
-                    f"{cls.__name__}.config must be an object")
-            data["config"] = ReproConfig.from_dict(data["config"])
         try:
             request = cls(**data)
         except TypeError as exc:

@@ -568,7 +568,7 @@ def _run_coordinator_command(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "serve":
-        from .api.server import serve
+        from .serve.daemon import serve
 
         try:
             serve(host=args.host, port=args.port, store_dir=args.store,

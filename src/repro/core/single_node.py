@@ -26,7 +26,7 @@ Two execution paths produce identical :class:`SingleNodeData`:
 The batched path itself has two interchangeable plane evaluators: the
 compiled straight-line bigint kernels
 (:func:`repro.sim.compiled.compile_circuit`, the default) and -- for
-``backend='array'`` on the numpy substrate -- the grouped array kernels
+``backend='array'`` with numpy installed -- the grouped array kernels
 of :mod:`repro.sim.array_backend` via :class:`_ArrayPlaneEval`, which
 pack the same machines into 64-bit word matrices and evaluate whole
 opcode groups per call.  Both compute every node of every machine, so
@@ -104,10 +104,10 @@ def run_single_node(simulator: FrameSimulator,
     choice -- forcing ``True`` still routes coupled simulators through
     the reference path.  ``backend`` picks the batched plane evaluator:
     'compiled' (straight-line bigint kernels) or 'array' (grouped
-    numpy word-matrix kernels; falls back to compiled kernels on the
-    pure-bigint substrate); 'reference' disables batching entirely.
+    numpy word-matrix kernels; falls back to compiled kernels when
+    numpy is absent); 'reference' disables batching entirely.
     ``batch_width`` is the machine count per batch (``None`` = backend
-    default: 128 compiled, 4096 array/numpy).  A pure packing /
+    default: 128 compiled, 4096 array).  A pure packing /
     evaluation-strategy knob: results are identical for every
     combination.
     """
@@ -166,7 +166,7 @@ def _batched_runs(simulator: FrameSimulator, stems: List[int],
     fallback reproduces the partial conflict run exactly.
 
     ``backend='array'`` swaps the per-frame plane evaluator for the
-    grouped numpy kernels (when the substrate is available) and widens
+    grouped numpy kernels (when numpy is installed) and widens
     the default batch to the array word width; everything around the
     evaluation -- packing, extraction, stop rules -- is shared verbatim.
     """
@@ -210,7 +210,7 @@ class _ArrayPlaneEval:
 
     Callable drop-in for ``cc.eval_planes(..., trace=True)``: reads the
     source rows out of the caller's bigint plane lists, evaluates every
-    level through :func:`repro.sim.array_backend._eval_group_np` on
+    level through :func:`repro.sim.array_backend._eval_group` on
     word matrices, and writes all scheduled gate rows back -- exactly
     the set of nodes the traced compiled kernels store.  Frame-0 gate
     injections arrive as ``gate_zero``/``gate_one`` column masks and
@@ -272,7 +272,7 @@ class _ArrayPlaneEval:
                     M1[nid] = (M1[nid] & K) | O
         for li, groups in enumerate(ac.levels):
             for g in groups:
-                ab._eval_group_np(g, M0, M1)
+                ab._eval_group(g, M0, M1)
             for nid, K, Z, O in splices.get(li, ()):
                 M0[nid] = (M0[nid] & K) | Z
                 M1[nid] = (M1[nid] & K) | O

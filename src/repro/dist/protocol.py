@@ -2,7 +2,7 @@
 
 The coordinator speaks JSON over HTTP on a handful of fixed paths
 (stdlib ``http.server`` on one side, ``http.client`` on the other --
-no dependencies, same idiom as :mod:`repro.api.server`):
+no dependencies, same idiom as :mod:`repro.serve.daemon`):
 
 ``POST /v1/dist/lease``
     Body ``{"worker_id"}``.  Pull scheduling *is* the work stealing:

@@ -34,8 +34,8 @@ in two phases:
 The speculation cost is bounded: a serial run skips generation for
 faults already dropped by earlier tests, a shard does not.  That waste
 buys order-independence -- and PODEM generation dominates fault
-simulation on the paper's circuits, so sharding still wins wall-clock
-(see ``benchmarks/bench_dist.py``).
+simulation on the paper's circuits (about 99 % of the default ATPG
+request's time in ``atpgbench``), so sharding still wins wall-clock.
 
 :func:`run_atpg_sharded` wires both phases together in-process; it is
 the reference implementation the coordinator/worker runtime

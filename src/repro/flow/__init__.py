@@ -12,9 +12,7 @@ This package is the execution layer under the versioned
     session.save_learned("s27.json")   # reuse in later processes
     stats = session.atpg("known")      # uses the cached learning
 
-New code should prefer :func:`repro.api.execute` with a typed request;
-the historical :class:`Session` name is a deprecation shim over
-:class:`PipelineSession`.
+New code should prefer :func:`repro.api.execute` with a typed request.
 
 * :mod:`repro.flow.config` -- :class:`ReproConfig` / :class:`ATPGConfig`
 * :mod:`repro.flow.serialize` -- JSON artifacts keyed to a circuit
@@ -48,7 +46,6 @@ from .serialize import (
 from .session import (
     CircuitResolveError,
     PipelineSession,
-    Session,
     StageRecord,
     StageTracker,
     SuiteReport,
@@ -72,7 +69,7 @@ __all__ = [
     "circuit_fingerprint",
     "learn_result_from_dict", "learn_result_to_dict",
     "load_learn_result", "save_learn_result", "write_json_atomic",
-    "CircuitResolveError", "PipelineSession", "Session", "StageRecord",
+    "CircuitResolveError", "PipelineSession", "StageRecord",
     "StageTracker", "SuiteReport", "canonicalize_volatile",
     "resolve_circuit", "run_suite",
     "QueueProgressAdapter", "SuiteError", "SuiteTask",

@@ -4,10 +4,11 @@
 on :func:`repro.atpg.run_atpg` / :func:`repro.atpg.compare_modes`;
 :class:`ReproConfig` bundles it with the learning engine's
 :class:`~repro.core.engine.LearnConfig` into one object a
-:class:`~repro.flow.session.Session` (or a config file) can carry.  All
-three round-trip through plain dicts -- ``json.dumps(cfg.to_dict())`` is
-the canonical on-disk form -- and reject unknown keys on the way back in
-so a typo in a config file fails loudly instead of being ignored.
+:class:`~repro.flow.session.PipelineSession` (or a config file) can
+carry.  All three round-trip through plain dicts --
+``json.dumps(cfg.to_dict())`` is the canonical on-disk form -- and
+reject unknown keys on the way back in so a typo in a config file fails
+loudly instead of being ignored.
 """
 
 from __future__ import annotations
@@ -94,14 +95,14 @@ class ATPGConfig:
     keep_sequences: bool = False
     #: Simulation backend for fault simulation and learning signatures:
     #: 'compiled' (straight-line kernels, the default), 'array'
-    #: (whole-circuit vectorized kernels; numpy-accelerated with the
-    #: ``repro[fast]`` extra, pure-bigint otherwise) or 'reference'
+    #: (whole-circuit numpy kernels with the ``repro[fast]`` extra,
+    #: the compiled kernels without it) or 'reference'
     #: (the original interpreters).  Results are bit-identical; the
     #: reference backend exists for differential testing and debugging.
     sim_backend: str = "compiled"
     #: Machine-batch width of the fault-dropping simulator (one fault
     #: machine per bit column; ``None`` = the backend's default, e.g.
-    #: 4096 on the numpy array substrate).  A pure packing knob:
+    #: 4096 on the array backend).  A pure packing knob:
     #: detection sets -- and therefore every statistic -- never depend
     #: on it, which the differential harness enforces.
     sim_width: Optional[int] = None

@@ -11,7 +11,7 @@ layer behind ``run_suite(jobs=N)`` / ``repro suite --jobs N``:
   Circuit`), the :class:`~repro.flow.config.ReproConfig` and the ATPG
   modes to run.
 * :func:`run_task` -- executes one task through a fresh
-  :class:`~repro.flow.session.Session` and *always* returns a
+  :class:`~repro.flow.session.PipelineSession` and *always* returns a
   :class:`SuiteTaskResult`: either the session report or an
   ``{"spec", "error", "stage"}`` record.  A failing circuit never takes
   the suite down.
@@ -120,11 +120,8 @@ def run_task(task: SuiteTask,
         if task.config.atpg.sim_backend in ("compiled", "array"):
             # Compile kernels before the pipeline hot loops rather than
             # inside the first stage that needs them (a pool worker's
-            # cache may start empty).  Passing the backend also warms
-            # the array lowering + resident pattern engine for array
-            # tasks instead of leaving them to the first stage.
-            warm_cache(session.circuit,
-                       backend=task.config.atpg.sim_backend)
+            # cache may start empty).
+            warm_cache(session.circuit)
         session.compare(list(task.modes))
         return SuiteTaskResult(index=task.index, report=session.report())
     except Exception as exc:

@@ -14,10 +14,8 @@ the expensive learning stage is skipped entirely when a fresh artifact
 exists -- this is what the CLI's ``learn --save`` / ``atpg --learned``
 pair rides on.
 
-:class:`PipelineSession` is the *internal* execution engine behind
-:func:`repro.api.execute`; the public :class:`Session` name is kept as a
-deprecation shim for pre-API callers (it behaves identically and emits
-a :class:`DeprecationWarning` on construction).
+:class:`PipelineSession` is the execution engine behind
+:func:`repro.api.execute`.
 
 ``progress`` hooks fire as ``progress(stage, event, payload)`` with
 ``event`` in ``{"start", "end"}``; ``payload`` is ``None`` at start and a
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import re
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -176,8 +173,8 @@ class PipelineSession:
 
     #: When true (set by :func:`repro.api.execute`), long ATPG stages
     #: emit throttled ``(stage, "tick", {"done", "total"})`` progress
-    #: events between ``start`` and ``end``.  Off by default so legacy
-    #: ``Session`` progress hooks see the historical start/end-only
+    #: events between ``start`` and ``end``.  Off by default so direct
+    #: ``PipelineSession`` progress hooks see the start/end-only
     #: stream.
     emit_ticks = False
 
@@ -469,32 +466,6 @@ class PipelineSession:
         return out
 
 
-class Session(PipelineSession):
-    """Deprecated alias of the pipeline session.
-
-    ``Session`` predates the versioned :mod:`repro.api` boundary; new
-    code should build a typed request and call
-    :func:`repro.api.execute` (one entrypoint, stable envelopes, shared
-    caches).  This shim keeps every pre-API call site working unchanged
-    -- it *is* the engine the API executes on -- but flags itself so
-    callers migrate::
-
-        from repro.api import ATPGRequest, execute
-        response = execute(ATPGRequest(spec="s27"))
-
-    The shim will be removed one major version after the API stabilizes.
-    """
-
-    def __init__(self, spec: Union[str, Circuit],
-                 config: Optional[ReproConfig] = None,
-                 progress: Optional[ProgressHook] = None):
-        warnings.warn(
-            "repro.flow.Session is deprecated; build a repro.api "
-            "request and call repro.api.execute() instead",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(spec, config=config, progress=progress)
-
-
 # ----------------------------------------------------------------------
 # suites
 # ----------------------------------------------------------------------
@@ -525,7 +496,7 @@ def canonicalize_volatile(value):
 
 @dataclass
 class SuiteReport:
-    """Batch results: one :meth:`Session.report` per circuit spec.
+    """Batch results: one :meth:`PipelineSession.report` per circuit spec.
 
     ``reports`` and ``errors`` are both kept in input-spec order, so the
     document is deterministic for a given spec list and config no matter
@@ -578,8 +549,8 @@ def run_suite(specs: Sequence[Union[str, Circuit]],
               jobs: Optional[int] = None) -> SuiteReport:
     """Run the full pipeline over many circuit specs.
 
-    Each spec gets its own :class:`Session` (learning runs once per
-    circuit and is shared by every ATPG mode).  The suite-wide config is
+    Each spec gets its own :class:`PipelineSession` (learning runs once
+    per circuit and is shared by every ATPG mode).  The suite-wide config is
     validated eagerly -- a bad ``config``/``jobs`` raises
     :class:`ConfigError` before anything runs, since it would fail every
     spec identically.  After that, with ``keep_going`` (the default)

@@ -5,8 +5,8 @@ for sustained traffic: streamed event protocol
 (:mod:`~repro.serve.streaming`), bounded two-class admission control
 (:mod:`~repro.serve.admission`), cooperative cancellation
 (:mod:`~repro.serve.cancel`) and a scrapeable metrics registry
-(:mod:`~repro.serve.metrics`).  :mod:`repro.api.server` remains as a
-thin compatibility shim over :mod:`~repro.serve.daemon`.
+(:mod:`~repro.serve.metrics`).  :mod:`repro.api` loads its lazy
+``make_server`` / ``serve`` from :mod:`~repro.serve.daemon`.
 
 The serving tier never changes *what* a request computes -- envelopes
 stay byte-identical to one-shot CLI runs (streams terminate with the

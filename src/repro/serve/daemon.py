@@ -1,10 +1,8 @@
 """The production daemon behind ``repro serve``.
 
-This module grew out of :mod:`repro.api.server` (which now re-exports
-it) when the daemon became a real serving tier instead of a thin HTTP
-shim.  On top of the original warm-process contract -- shared kernel
-cache, shared :class:`~repro.api.store.ArtifactStore`, byte-identical
-envelopes -- it adds three production capabilities:
+On top of the warm-process contract -- shared kernel cache, shared
+:class:`~repro.api.store.ArtifactStore`, byte-identical envelopes --
+the daemon adds three production capabilities:
 
 **Streaming.**  ``POST /v1/stream`` (or ``POST /v1/execute`` with
 ``Accept: application/x-ndjson``) emits the typed event protocol live
@@ -29,7 +27,8 @@ records per-kind latency, queue wait/depth, rejections and
 cancellations; ``GET /v1/metrics`` exports it as JSON (default) or
 Prometheus text (``?format=prometheus`` / ``Accept: text/plain``),
 alongside point-in-time cache-tier stats (kernel cache, artifact
-store, pattern cache).
+store).  ``requests_total{kind,class,outcome}`` is the one request
+ledger: ``/v1/health`` derives its served/failed counts from it.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from ..api.errors import (
 from ..api.executor import Response, execute
 from ..api.requests import PRIORITY_CLASSES, REQUEST_KINDS, SCHEMA_VERSION
 from ..api.store import ArtifactStore
-from ..sim.array_backend import pattern_cache_stats
 from ..sim.compiled import compile_cache_stats
 from .admission import AdmissionController
 from .cancel import REASON_CLIENT_DISCONNECT, REASON_EXPLICIT, CancelToken
@@ -108,33 +106,27 @@ class ReproServer(ThreadingHTTPServer):
             max_active=(max_active if max_active is not None
                         else _default_max_active()),
             queue_depth=queue_depth)
-        self.requests_served = 0
-        self.requests_failed = 0
         self._request_counter = 0
         self._tokens: Dict[str, CancelToken] = {}
         self.stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def health(self) -> dict:
-        with self.stats_lock:
-            served, failed = self.requests_served, self.requests_failed
+        # The ledger is read before the admission depths: an outcome is
+        # recorded only after its slot is released, so a request that
+        # shows as served never shows as still active.
+        outcomes = self.metrics.counter_by("requests_total", "outcome")
+        served = sum(outcomes.values())
         return {
             "ok": True,
             "schema_version": SCHEMA_VERSION,
             "requests_served": served,
-            "requests_failed": failed,
+            "requests_failed": served - outcomes.get("ok", 0),
             "streaming": self.allow_streaming,
             "admission": self.admission.depths(),
             "kernel_cache": compile_cache_stats(),
             "artifact_store": self.store.stats(),
-            "pattern_cache": pattern_cache_stats(),
         }
-
-    def count(self, ok: bool) -> None:
-        with self.stats_lock:
-            self.requests_served += 1
-            if not ok:
-                self.requests_failed += 1
 
     # ------------------------------------------------------------------
     def next_request_id(self) -> str:
@@ -180,7 +172,6 @@ class ReproServer(ThreadingHTTPServer):
             "caches": {
                 "kernel_cache": compile_cache_stats(),
                 "artifact_store": self.store.stats(),
-                "pattern_cache": pattern_cache_stats(),
             },
             "admission": self.admission.depths(),
         }
@@ -189,8 +180,7 @@ class ReproServer(ThreadingHTTPServer):
         """Point-in-time gauge values for the Prometheus export."""
         out: Dict[str, float] = {}
         for prefix, stats in (("kernel_cache", compile_cache_stats()),
-                              ("artifact_store", self.store.stats()),
-                              ("pattern_cache", pattern_cache_stats())):
+                              ("artifact_store", self.store.stats())):
             for key in sorted(stats):
                 value = stats[key]
                 if isinstance(value, (int, float)):
@@ -198,9 +188,6 @@ class ReproServer(ThreadingHTTPServer):
         depths = self.admission.depths()
         for key in sorted(depths):
             out[f"admission_{key}"] = depths[key]
-        with self.stats_lock:
-            out["requests_served"] = self.requests_served
-            out["requests_failed"] = self.requests_failed
         return out
 
 
@@ -235,16 +222,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, (json.dumps(payload, indent=1) + "\n").encode(),
                    headers=headers)
 
-    def _respond(self, response: Response, status: int,
-                 headers: Optional[Dict[str, str]] = None) -> None:
-        self.server.count(response.ok)
-        self._send(status, response.to_json().encode(), headers=headers)
-
-    def _respond_error(self, error: ReproError, kind: str = "unknown",
-                       headers: Optional[Dict[str, str]] = None) -> None:
-        self._respond(Response(kind=kind, ok=False,
-                               error=error.envelope(), exit_code=1),
-                      error.http_status, headers=headers)
+    def _respond_error(self, error: ReproError) -> None:
+        status, body, _headers = _error_reply(error)
+        self._send(status, body)
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server contract)
@@ -425,114 +405,126 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _handle_execute(self, stream_default: bool) -> None:
+        """Run one request, record its outcome, then write the reply.
+
+        The outcome lands in ``requests_total`` after the admission
+        slot is released and, for one-shot replies, before the reply
+        bytes are written: a client holding its reply already sees it
+        counted and the slot free.
+        """
         server = self.server
         started = time.perf_counter()
-        kind = "unknown"
-        priority = "interactive"
-        outcome = "error"
-        token: Optional[CancelToken] = None
+        ctx: Dict[str, object] = {"kind": "unknown",
+                                  "class": "interactive", "token": None}
+        outcome, reply = "error", None
         try:
-            try:
-                body = self._read_body()
-                data = json.loads(body or b"null")
-            except ReproError as error:
-                self._respond_error(error)
-                return
-            except json.JSONDecodeError as exc:
-                self._respond_error(RequestError(
-                    f"request body is not valid JSON: {exc}",
-                    stage="http"))
-                return
-            if not isinstance(data, dict):
-                data = {"kind": data}  # let request parsing shape the error
-            kind = str(data.get("kind"))
-            if not server.allow_file_requests:
-                named = [f for f in FILE_PATH_FIELDS if data.get(f)]
-                if named:
-                    self._respond_error(RequestError(
-                        f"this server does not accept requests naming "
-                        f"server-side file paths ({named}); restart it "
-                        "with allow_file_requests (repro serve "
-                        "--allow-file-requests) to opt in",
-                        stage="http"), kind=kind)
-                    return
-            raw_priority = data.get("priority", "interactive")
-            if raw_priority in PRIORITY_CLASSES:
-                # An invalid class is admitted as interactive and then
-                # rejected properly by request validation.
-                priority = raw_priority
-            raw_deadline = data.get("deadline_s")
-            deadline = server.effective_deadline(
-                raw_deadline if isinstance(raw_deadline, (int, float))
-                and not isinstance(raw_deadline, bool)
-                and raw_deadline > 0 else None)
-            token = CancelToken(deadline_s=deadline)
-            raw_id = data.get("request_id")
-            request_id = (raw_id if isinstance(raw_id, str) and raw_id
-                          else server.next_request_id())
-            server.register_token(request_id, token)
-            try:
-                depths = server.admission.depths()
-                server.metrics.observe(
-                    "queue_depth", depths.get(priority, 0),
-                    {"class": priority}, buckets=DEPTH_BUCKETS)
-                queued_at = time.perf_counter()
-                try:
-                    server.admission.acquire(priority, cancel=token)
-                except OverloadFailure as error:
-                    outcome = "rejected"
-                    server.metrics.inc("rejections_total",
-                                       {"class": priority})
-                    self._respond_error(
-                        error, kind=kind,
-                        headers={"Retry-After": str(error.retry_after_s),
-                                 "X-Request-Id": request_id})
-                    return
-                except ReproError as error:
-                    # Cancelled (deadline/disconnect/explicit) while
-                    # still queued: never held a slot.
-                    outcome = "cancelled"
-                    self._respond_error(
-                        error, kind=kind,
-                        headers={"X-Request-Id": request_id})
-                    return
-                server.metrics.observe(
-                    "queue_wait_s", time.perf_counter() - queued_at,
-                    {"class": priority})
-                try:
-                    fmt = self._stream_format(stream_default)
-                    if fmt is None:
-                        token.set_probe(self._disconnect_probe())
-                        response = execute(data, store=server.store,
-                                           cancel=token.check)
-                        status = 200
-                        if not response.ok:
-                            code = (response.error or {}).get("code")
-                            status = HTTP_STATUS_BY_CODE.get(code, 500)
-                        self._respond(response, status,
-                                      headers={"X-Request-Id":
-                                               request_id})
-                        ok = response.ok
-                    else:
-                        ok = self._run_stream(data, fmt, token,
-                                              request_id)
-                    outcome = "ok" if ok else "error"
-                finally:
-                    server.admission.release()
-            finally:
-                server.unregister_token(request_id)
+            outcome, reply = self._execute(stream_default, ctx)
         finally:
+            token = ctx["token"]
             if token is not None and token.reason is not None:
                 outcome = ("rejected" if outcome == "rejected"
                            else "cancelled")
                 server.metrics.inc("cancellations_total",
                                    {"reason": token.reason})
             server.metrics.inc("requests_total",
-                               {"kind": kind, "class": priority,
+                               {"kind": ctx["kind"],
+                                "class": ctx["class"],
                                 "outcome": outcome})
             server.metrics.observe("request_latency_s",
                                    time.perf_counter() - started,
-                                   {"kind": kind})
+                                   {"kind": ctx["kind"]})
+        if reply is not None:
+            status, body, headers = reply
+            self._send(status, body, headers=headers)
+
+    def _execute(self, stream_default: bool, ctx: Dict[str, object]
+                 ) -> Tuple[str, Optional[tuple]]:
+        """Parse, admit and run one request.
+
+        Returns ``(outcome, reply)`` with the admission slot already
+        released; ``reply`` is the one-shot ``(status, body, headers)``
+        still to be written, or None when a stream was written.  Fills
+        ``ctx`` with the kind, class and cancel token as they become
+        known.
+        """
+        server = self.server
+        try:
+            body = self._read_body()
+            data = json.loads(body or b"null")
+        except ReproError as error:
+            return "error", _error_reply(error)
+        except json.JSONDecodeError as exc:
+            return "error", _error_reply(RequestError(
+                f"request body is not valid JSON: {exc}", stage="http"))
+        if not isinstance(data, dict):
+            data = {"kind": data}  # let request parsing shape the error
+        kind = ctx["kind"] = str(data.get("kind"))
+        if not server.allow_file_requests:
+            named = [f for f in FILE_PATH_FIELDS if data.get(f)]
+            if named:
+                return "error", _error_reply(RequestError(
+                    f"this server does not accept requests naming "
+                    f"server-side file paths ({named}); restart it "
+                    "with allow_file_requests (repro serve "
+                    "--allow-file-requests) to opt in",
+                    stage="http"), kind)
+        raw_priority = data.get("priority", "interactive")
+        if raw_priority in PRIORITY_CLASSES:
+            # An invalid class is admitted as interactive and then
+            # rejected properly by request validation.
+            ctx["class"] = raw_priority
+        priority = ctx["class"]
+        raw_deadline = data.get("deadline_s")
+        deadline = server.effective_deadline(
+            raw_deadline if isinstance(raw_deadline, (int, float))
+            and not isinstance(raw_deadline, bool)
+            and raw_deadline > 0 else None)
+        token = ctx["token"] = CancelToken(deadline_s=deadline)
+        raw_id = data.get("request_id")
+        request_id = (raw_id if isinstance(raw_id, str) and raw_id
+                      else server.next_request_id())
+        headers = {"X-Request-Id": request_id}
+        server.register_token(request_id, token)
+        try:
+            depths = server.admission.depths()
+            server.metrics.observe(
+                "queue_depth", depths.get(priority, 0),
+                {"class": priority}, buckets=DEPTH_BUCKETS)
+            queued_at = time.perf_counter()
+            try:
+                server.admission.acquire(priority, cancel=token)
+            except OverloadFailure as error:
+                server.metrics.inc("rejections_total",
+                                   {"class": priority})
+                return "rejected", _error_reply(
+                    error, kind,
+                    dict(headers, **{"Retry-After":
+                                     str(error.retry_after_s)}))
+            except ReproError as error:
+                # Cancelled (deadline/disconnect/explicit) while still
+                # queued: never held a slot.
+                return "cancelled", _error_reply(error, kind, headers)
+            server.metrics.observe(
+                "queue_wait_s", time.perf_counter() - queued_at,
+                {"class": priority})
+            try:
+                fmt = self._stream_format(stream_default)
+                if fmt is not None:
+                    ok = self._run_stream(data, fmt, token, request_id)
+                    return ("ok" if ok else "error"), None
+                token.set_probe(self._disconnect_probe())
+                response = execute(data, store=server.store,
+                                   cancel=token.check)
+                status = 200
+                if not response.ok:
+                    code = (response.error or {}).get("code")
+                    status = HTTP_STATUS_BY_CODE.get(code, 500)
+                return (("ok" if response.ok else "error"),
+                        (status, response.to_json().encode(), headers))
+            finally:
+                server.admission.release()
+        finally:
+            server.unregister_token(request_id)
 
     def _run_stream(self, data: dict, fmt: str, token: CancelToken,
                     request_id: str) -> bool:
@@ -556,9 +548,15 @@ class _Handler(BaseHTTPRequestHandler):
         response = execute(data, events=writer, store=server.store,
                            cancel=token.check)
         delivered = writer.finish(response.to_json().encode())
-        ok = bool(response.ok and delivered)
-        server.count(ok)
-        return ok
+        return bool(response.ok and delivered)
+
+
+def _error_reply(error: ReproError, kind: str = "unknown",
+                 headers: Optional[Dict[str, str]] = None) -> tuple:
+    """``(status, body, headers)`` of one error envelope."""
+    response = Response(kind=kind, ok=False, error=error.envelope(),
+                        exit_code=1)
+    return error.http_status, response.to_json().encode(), headers
 
 
 def make_server(host: str = "127.0.0.1", port: int = 0,

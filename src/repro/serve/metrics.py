@@ -124,6 +124,17 @@ class Metrics:
             return sum(value for (key_name, _), value
                        in self._counters.items() if key_name == name)
 
+    def counter_by(self, name: str, label: str) -> Dict[str, int]:
+        """A counter summed per value of one label, in one snapshot
+        (series without the label sum under ``""``)."""
+        out: Dict[str, int] = {}
+        with self._lock:
+            for (key_name, pairs), value in self._counters.items():
+                if key_name == name:
+                    group = dict(pairs).get(label, "")
+                    out[group] = out.get(group, 0) + value
+        return out
+
     def histogram_snapshot(self, name: str,
                            labels: Optional[Dict[str, str]] = None
                            ) -> Optional[Dict[str, object]]:

@@ -4,12 +4,7 @@ from .array_backend import (
     HAVE_NUMPY,
     ArrayCircuit,
     ArrayFaultSimulator,
-    ArrayPatternEngine,
     array_form,
-    clear_pattern_cache,
-    pattern_cache_stats,
-    pattern_engine,
-    simulate_patterns_array,
 )
 from .compiled import (
     SIM_BACKENDS,
@@ -53,9 +48,7 @@ from .values import (
 )
 
 __all__ = [
-    "HAVE_NUMPY", "ArrayCircuit", "ArrayFaultSimulator",
-    "ArrayPatternEngine", "array_form", "clear_pattern_cache",
-    "pattern_cache_stats", "pattern_engine", "simulate_patterns_array",
+    "HAVE_NUMPY", "ArrayCircuit", "ArrayFaultSimulator", "array_form",
     "ArrayResidentDropper", "SubsetResidentDropper",
     "make_resident_dropper",
     "SIM_BACKENDS", "CompiledCircuit", "CompiledFaultSimulator",

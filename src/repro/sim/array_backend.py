@@ -20,26 +20,20 @@ opcode-grouped** form evaluated with whole-matrix bitwise operations:
   with the opcode's neutral element (1 for AND-reduction, 0 for
   OR/XOR-reduction).
 
-The wide-word substrate is chosen **at import time**: with ``numpy``
-installed (the ``repro[fast]`` extra) the matrix is a real
-``numpy.uint64`` array and the default batch width grows to
-:data:`DEFAULT_NUMPY_WIDTH` machines; without it a pure-bigint
-interpreter walks the same lowered arrays with Python integers as the
-packed words, so the stdlib-only install keeps working with identical
-results.  Setting ``REPRO_ARRAY_DISABLE_NUMPY=1`` in the environment
-forces the bigint path even when numpy is importable (the CI leg that
-proves the fallback).
+The word matrices are ``numpy.uint64`` arrays, so this backend needs
+``numpy`` (the ``repro[fast]`` extra).  Without it the factories
+(:func:`repro.sim.compiled.make_fault_simulator`,
+:func:`repro.sim.resident.make_resident_dropper`) resolve ``array`` to
+the compiled backend, whose results are identical by contract.
 
 Like the other backends, detection sets and every downstream
 :class:`~repro.atpg.driver.ATPGStats` field are bit-identical by
 contract; ``tests/test_backend_differential.py`` pits all three against
-each other across the generated corpus, word widths and both array
-substrates.
+each other across the generated corpus and word widths.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -54,39 +48,26 @@ from .compiled import (
 )
 
 __all__ = ["HAVE_NUMPY", "ArrayCircuit", "ArrayFaultSimulator",
-           "ArrayPatternEngine", "array_form", "clear_pattern_cache",
-           "pattern_cache_stats", "pattern_engine",
-           "simulate_patterns_array"]
+           "array_form"]
 
 try:
-    if os.environ.get("REPRO_ARRAY_DISABLE_NUMPY"):
-        raise ImportError("numpy disabled by REPRO_ARRAY_DISABLE_NUMPY")
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised by the no-numpy leg
     _np = None
 
-#: True when the vectorized numpy substrate is active for this process.
+#: True when numpy is importable, i.e. the array backend can run here.
 HAVE_NUMPY = _np is not None
 
-#: Default machines per batch on each substrate.  The numpy path gets
-#: faster per fault the wider the batch (matrix op cost is dominated by
-#: per-call overhead at these sizes), so it defaults wide; the bigint
-#: fallback pays per-limb cost linear in the width and keeps the
-#: compiled backend's classic 128.
+#: Default machines per batch.  Matrix op cost is dominated by per-call
+#: overhead at these sizes, so the backend gets faster per fault the
+#: wider the batch.
 DEFAULT_NUMPY_WIDTH = 4096
-DEFAULT_BIGINT_WIDTH = 128
 
 #: Injection plans retained per simulator instance (LRU).  ATPG fault
 #: grading re-runs ``detected()`` over the same fault list for every
 #: candidate sequence, so a handful of batch plans covers the whole
 #: campaign; the cap only matters when callers stream arbitrary batches.
 PLAN_CACHE_CAP = 32
-
-#: Resident pattern engines retained per process, LRU by circuit
-#: fingerprint; see :func:`pattern_engine`.  A suite run touches a
-#: handful of circuits, the cap only matters for callers streaming
-#: arbitrary netlists.
-PATTERN_CACHE_CAP = 64
 
 
 #: Gate pins beyond a gate's fanin count are padded with the opcode's
@@ -99,12 +80,11 @@ _XOR_LIKE = (OP_XOR, OP_XNOR)
 class _Group:
     """All gates of one opcode inside one topological level."""
 
-    __slots__ = ("op", "out", "fanin", "max_fanin", "F2")
+    __slots__ = ("op", "out", "max_fanin", "F2")
 
-    def __init__(self, op: int, out, fanin, max_fanin: int, F2=None):
+    def __init__(self, op: int, out, max_fanin: int, F2):
         self.op = op
-        self.out = out          # output node ids (list or np.intp array)
-        self.fanin = fanin      # per-pin fanin id lists (len max_fanin)
+        self.out = out          # output node ids (np.intp array)
         self.max_fanin = max_fanin
         self.F2 = F2            # (max_fanin, n_gates) intp index matrix
 
@@ -162,11 +142,9 @@ class ArrayCircuit:
                 fanin = [[(fis[j] if j < len(fis) else pad)
                           for _nid, fis in gates]
                          for j in range(max_fanin)]
-                F2 = None
-                if _np is not None:
-                    out = _np.asarray(out, dtype=_np.intp)
-                    F2 = _np.asarray(fanin, dtype=_np.intp)
-                groups.append(_Group(op, out, fanin, max_fanin, F2))
+                groups.append(_Group(
+                    op, _np.asarray(out, dtype=_np.intp), max_fanin,
+                    _np.asarray(fanin, dtype=_np.intp)))
             self.levels.append(groups)
 
 
@@ -191,7 +169,7 @@ def array_form(circuit: Circuit) -> ArrayCircuit:
 
 
 # ----------------------------------------------------------------------
-# word helpers (numpy substrate)
+# word helpers
 # ----------------------------------------------------------------------
 def _int_to_words(value: int, words: int):
     """Pack a bigint mask into little-endian 64-bit word rows."""
@@ -199,12 +177,8 @@ def _int_to_words(value: int, words: int):
     return _np.frombuffer(raw, dtype="<u8").astype(_np.uint64)
 
 
-def _words_to_int(row) -> int:
-    return int.from_bytes(row.astype("<u8").tobytes(), "little")
-
-
 # ----------------------------------------------------------------------
-# per-batch fault aggregation (shared by both substrates)
+# per-batch fault aggregation
 # ----------------------------------------------------------------------
 class _BatchForces:
     """Bigint force masks of one packed fault batch.
@@ -280,24 +254,19 @@ class ArrayFaultSimulator:
     Same contract as :class:`repro.sim.faultsim.FaultSimulator` and
     :class:`repro.sim.compiled.CompiledFaultSimulator` -- identical
     detection sets on any (sequence, faults) input, per-batch fault
-    dropping included.  ``width=None`` picks the substrate default
-    (:data:`DEFAULT_NUMPY_WIDTH` / :data:`DEFAULT_BIGINT_WIDTH`);
-    ``use_numpy=None`` follows the import-time probe, ``False`` forces
-    the pure-bigint interpreter, ``True`` requires numpy.
+    dropping included.  ``width=None`` picks
+    :data:`DEFAULT_NUMPY_WIDTH`.  Needs numpy; build it through
+    :func:`~repro.sim.compiled.make_fault_simulator` to fall back to the
+    compiled backend when numpy is absent.
     """
 
-    def __init__(self, circuit: Circuit, width: Optional[int] = None,
-                 use_numpy: Optional[bool] = None):
-        if use_numpy is None:
-            use_numpy = HAVE_NUMPY
-        elif use_numpy and not HAVE_NUMPY:
+    def __init__(self, circuit: Circuit, width: Optional[int] = None):
+        if not HAVE_NUMPY:
             raise ValueError(
-                "use_numpy=True but numpy is not importable here; "
-                "install the repro[fast] extra or pass use_numpy=None")
-        self.use_numpy = bool(use_numpy)
+                "the array backend needs numpy; install the repro[fast] "
+                "extra or use make_fault_simulator(backend='array')")
         if width is None:
-            width = (DEFAULT_NUMPY_WIDTH if self.use_numpy
-                     else DEFAULT_BIGINT_WIDTH)
+            width = DEFAULT_NUMPY_WIDTH
         if width < 1:
             raise ValueError(f"word width must be >= 1, got {width}")
         self.circuit = circuit
@@ -305,8 +274,8 @@ class ArrayFaultSimulator:
         self.compiled = compile_circuit(circuit)
         self.array = array_form(circuit)
         #: (node, pin, value)-keyed LRU of injection plans; see
-        #: :meth:`_plan_for`.  Hit/miss counters feed the benchmark's
-        #: ``inject_setup`` row and the cache tests.
+        #: :meth:`_plan_for`.  Hit/miss counters feed the resident
+        #: dropper's stats and the cache tests.
         self._plan_cache: "OrderedDict[Tuple, object]" = OrderedDict()
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
@@ -319,12 +288,10 @@ class ArrayFaultSimulator:
         if not faults or not sequence:
             return set()
         good_frames = self._good_output_frames(sequence)
-        run = (self._run_batch_np if self.use_numpy
-               else self._run_batch_int)
         hit: Set[int] = set()
         for start in range(0, len(faults), self.width):
-            batch = list(faults[start:start + self.width])
-            for local in run(sequence, batch, good_frames):
+            plan = self._plan_for(list(faults[start:start + self.width]))
+            for local in self._run_plan(sequence, plan, good_frames):
                 hit.add(start + local)
         return hit
 
@@ -373,8 +340,7 @@ class ArrayFaultSimulator:
         therefore the splice tables, virtual-branch routing and fanin
         overrides, which depend only on each fault's (node, pin, value)
         identity -- repeat exactly.  Rebuilding them per call is pure
-        overhead; this returns the cached :class:`_NumpyPlan` (numpy
-        substrate) or :class:`_BatchForces` (bigint substrate) instead.
+        overhead; this returns the cached :class:`_NumpyPlan` instead.
         """
         key = tuple((fault.node, fault.pin, fault.value)
                     for fault in batch)
@@ -384,17 +350,14 @@ class ArrayFaultSimulator:
             self.plan_cache_hits += 1
             return plan
         self.plan_cache_misses += 1
-        plan = (self._build_plan_np(batch) if self.use_numpy
-                else _BatchForces(self.compiled, batch))
+        plan = self._build_plan(batch)
         self._plan_cache[key] = plan
         while len(self._plan_cache) > PLAN_CACHE_CAP:
             self._plan_cache.popitem(last=False)
         return plan
 
     # ------------------------------------------------------------------
-    # numpy substrate
-    # ------------------------------------------------------------------
-    def _build_plan_np(self, batch: List) -> _NumpyPlan:
+    def _build_plan(self, batch: List) -> _NumpyPlan:
         np = _np
         cc = self.compiled
         ac = self.array
@@ -498,15 +461,9 @@ class ArrayFaultSimulator:
         plan.n_virt = n_virt
         return plan
 
-    def _run_batch_np(self, sequence: Sequence[Dict[str, int]],
-                      batch: List, good_frames: List[List[int]]
-                      ) -> Set[int]:
-        return self._run_plan_np(sequence, self._plan_for(batch),
-                                 good_frames)
-
-    def _run_plan_np(self, sequence: Sequence[Dict[str, int]],
-                     plan: "_NumpyPlan", good_frames: List[List[int]],
-                     pre_det=None) -> Set[int]:
+    def _run_plan(self, sequence: Sequence[Dict[str, int]],
+                  plan: "_NumpyPlan", good_frames: List[List[int]],
+                  pre_det=None) -> Set[int]:
         """Run one prebuilt injection plan over a sequence.
 
         ``pre_det`` (a words-long uint64 row) pre-seeds the detection
@@ -577,7 +534,7 @@ class ArrayFaultSimulator:
                     M0[dst_idx] = (M0[src_idx] & K) | Z
                     M1[dst_idx] = (M1[src_idx] & K) | O
                 for gi, g in enumerate(groups):
-                    _eval_group_np(g, M0, M1,
+                    _eval_group(g, M0, M1,
                                    f2_overrides.get((li, gi)))
                 lo = level_out.get(li)
                 if lo is not None:
@@ -619,158 +576,11 @@ class ArrayFaultSimulator:
                     s1[rows] = (s1[rows] & K) | O
         return detected
 
-    # ------------------------------------------------------------------
-    # pure-bigint substrate (stdlib-only fallback, identical results)
-    # ------------------------------------------------------------------
-    def _run_batch_int(self, sequence: Sequence[Dict[str, int]],
-                       batch: List, good_frames: List[List[int]]
-                       ) -> Set[int]:
-        return self._run_plan_int(sequence, self._plan_for(batch),
-                                  len(batch), good_frames)
-
-    def _run_plan_int(self, sequence: Sequence[Dict[str, int]],
-                      forces: "_BatchForces", width: int,
-                      good_frames: List[List[int]],
-                      pre_det: int = 0) -> Set[int]:
-        """Bigint twin of :meth:`_run_plan_np`; ``pre_det`` is the
-        packed mask of already-decided machine columns."""
-        cc = self.compiled
-        ac = self.array
-        full = (1 << width) - 1
-        out_zero = forces.out_zero
-        out_one = forces.out_one
-        pin_groups = forces.pin_groups
-        hot = forces.hot
-        m0 = [0] * ac.rows
-        m1 = [0] * ac.rows
-        m0[ac.zero_row] = full
-        m1[ac.one_row] = full
-        for nid in ac.tie0:
-            m0[nid] = full
-        for nid in ac.tie1:
-            m1[nid] = full
-        opcodes = cc.opcode
-
-        def fix(nid: int) -> None:
-            c0 = m0[nid]
-            c1 = m1[nid]
-            groups = pin_groups.get(nid)
-            if groups is not None:
-                op = opcodes[nid]
-                fis = ac.fanins[nid]
-                for pin, z, o, bits in groups:
-                    keep = ~(z | o)
-                    if op < 4:  # AND / NAND / OR / NOR
-                        and_like = op < 2
-                        r0 = 0 if and_like else full
-                        r1 = full if and_like else 0
-                        for i, f in enumerate(fis):
-                            f0 = m0[f]
-                            f1 = m1[f]
-                            if i == pin:
-                                f0 = (f0 & keep) | z
-                                f1 = (f1 & keep) | o
-                            if and_like:
-                                r0 |= f0
-                                r1 &= f1
-                            else:
-                                r0 &= f0
-                                r1 |= f1
-                        if op == OP_NAND or op == OP_NOR:
-                            r0, r1 = r1, r0
-                    elif op < 6:  # NOT / BUF
-                        f = fis[0]
-                        r0 = (m0[f] & keep) | z
-                        r1 = (m1[f] & keep) | o
-                        if op == OP_NOT:
-                            r0, r1 = r1, r0
-                    else:  # XOR / XNOR
-                        r0, r1 = full, 0
-                        for i, f in enumerate(fis):
-                            f0 = m0[f]
-                            f1 = m1[f]
-                            if i == pin:
-                                f0 = (f0 & keep) | z
-                                f1 = (f1 & keep) | o
-                            r0, r1 = (r0 & f0) | (r1 & f1), \
-                                (r0 & f1) | (r1 & f0)
-                        if op == OP_XNOR:
-                            r0, r1 = r1, r0
-                    c0 = (c0 & ~bits) | (r0 & bits)
-                    c1 = (c1 & ~bits) | (r1 & bits)
-            z = out_zero.get(nid)
-            o = out_one.get(nid)
-            if z is not None or o is not None:
-                z = z or 0
-                o = o or 0
-                keep = ~(z | o)
-                c0 = (c0 & keep) | z
-                c1 = (c1 & keep) | o
-            m0[nid] = c0
-            m1[nid] = c1
-
-        # Same level-0 TIE splice as the numpy path: constant planes,
-        # fixed once per batch instead of once per level pass.
-        for nid in (*ac.tie0, *ac.tie1):
-            if nid in hot:
-                fix(nid)
-        s0 = [0] * len(cc.ffs)
-        s1 = [0] * len(cc.ffs)
-        detected: Set[int] = set()
-        detected_mask = pre_det
-        for frame, vector in enumerate(sequence):
-            get = vector.get
-            for nid, name in cc.input_pairs:
-                value = get(name, X)
-                if value == ZERO:
-                    m0[nid], m1[nid] = full, 0
-                elif value == ONE:
-                    m0[nid], m1[nid] = 0, full
-                else:
-                    m0[nid], m1[nid] = 0, 0
-            for j, fid in enumerate(cc.ffs):
-                m0[fid], m1[fid] = s0[j], s1[j]
-            for nid, z, o in forces.src:
-                keep = ~(z | o)
-                m0[nid] = (m0[nid] & keep) | z
-                m1[nid] = (m1[nid] & keep) | o
-            for groups in ac.levels:
-                for g in groups:
-                    _eval_group_int(g, m0, m1, full)
-                    if hot:
-                        for nid in g.out:
-                            if nid in hot:
-                                fix(nid)
-            # Detection; the final ``& full`` is the same ghost-column
-            # guard as the numpy path (see there).
-            good = good_frames[frame]
-            for k, oid in enumerate(cc.outputs):
-                gv = good[k]
-                if gv == X:
-                    continue
-                diff = ((m1[oid] if gv == ZERO else m0[oid])
-                        & ~detected_mask & full)
-                if diff:
-                    detected_mask |= diff
-                    while diff:
-                        low = diff & -diff
-                        detected.add(low.bit_length() - 1)
-                        diff ^= low
-            if detected_mask == full:
-                break
-            for j, fid in enumerate(cc.ffs):
-                s0[j], s1[j] = m0[cc.ff_data[j]], m1[cc.ff_data[j]]
-            for j, z, o in forces.ff:
-                keep = ~(z | o)
-                s0[j] = (s0[j] & keep) | z
-                s1[j] = (s1[j] & keep) | o
-        return detected
-
 
 # ----------------------------------------------------------------------
-# group evaluators
+# group evaluator
 # ----------------------------------------------------------------------
-def _eval_group_np(g: _Group, M0, M1, F2=None) -> None:
+def _eval_group(g: _Group, M0, M1, F2=None) -> None:
     """Advance every gate of one opcode group in a few matrix ops.
 
     ``F2`` overrides the group's fanin index matrix (a batch-local copy
@@ -809,247 +619,3 @@ def _eval_group_np(g: _Group, M0, M1, F2=None) -> None:
     M0[g.out] = a
     M1[g.out] = b
 
-
-def _eval_group_int(g: _Group, m0: List[int], m1: List[int],
-                    full: int) -> None:
-    """Bigint interpretation of one group, gate by gate."""
-    op = g.op
-    F = g.fanin
-    k = g.max_fanin
-    if op in _AND_LIKE:
-        for i, nid in enumerate(g.out):
-            a = m0[F[0][i]]
-            b = m1[F[0][i]]
-            for j in range(1, k):
-                a |= m0[F[j][i]]
-                b &= m1[F[j][i]]
-            if op == OP_NAND:
-                a, b = b, a
-            m0[nid] = a
-            m1[nid] = b
-        return
-    if op in _OR_LIKE:
-        for i, nid in enumerate(g.out):
-            a = m0[F[0][i]]
-            b = m1[F[0][i]]
-            for j in range(1, k):
-                a &= m0[F[j][i]]
-                b |= m1[F[j][i]]
-            if op == OP_NOR:
-                a, b = b, a
-            m0[nid] = a
-            m1[nid] = b
-        return
-    if op == OP_NOT:
-        for i, nid in enumerate(g.out):
-            m0[nid] = m1[F[0][i]]
-            m1[nid] = m0[F[0][i]]
-        return
-    if op == OP_BUF:
-        for i, nid in enumerate(g.out):
-            m0[nid] = m0[F[0][i]]
-            m1[nid] = m1[F[0][i]]
-        return
-    for i, nid in enumerate(g.out):  # XOR / XNOR
-        t0 = m0[F[0][i]]
-        t1 = m1[F[0][i]]
-        for j in range(1, k):
-            f0 = m0[F[j][i]]
-            f1 = m1[F[j][i]]
-            t0, t1 = (t0 & f0) | (t1 & f1), (t0 & f1) | (t1 & f0)
-        if op == OP_XNOR:
-            t0, t1 = t1, t0
-        m0[nid] = t0
-        m1[nid] = t1
-
-
-# ----------------------------------------------------------------------
-# packed binary pattern simulation (learning signatures)
-# ----------------------------------------------------------------------
-class ArrayPatternEngine:
-    """Resident single-plane pattern evaluator for one circuit.
-
-    Owns everything :func:`simulate_patterns_array` used to rebuild per
-    call: the compiled form, the array lowering, the gate/source row
-    index vectors and a pool of value matrices keyed by word count.
-    Fetched through the fingerprint-keyed :func:`pattern_engine` LRU,
-    one engine serves every signature call for its circuit, so per-call
-    setup amortizes to zero and mask packing/unpacking runs as one
-    batched byte conversion instead of one bigint round-trip per node.
-
-    The buffer pool hands a matrix out under the engine lock and takes
-    it back afterwards; concurrent callers (the serve daemon threads)
-    simply allocate a second matrix, so reuse is an optimization, never
-    a correctness dependency.  Rows the evaluation reads are all
-    rewritten each call (sources, the one-pad, TIE1 rows, every gate
-    row) or are never written at all (the zero-pad and TIE0 rows stay
-    all-zero from allocation), which is what makes pooling sound.
-    """
-
-    def __init__(self, circuit: Circuit):
-        self.cc = compile_circuit(circuit)
-        self.ac = array_form(circuit)
-        self._lock = threading.Lock()
-        self._pool: Dict[int, object] = {}
-        if _np is not None:
-            self.src_rows = _np.asarray(self.cc.required_sources,
-                                        dtype=_np.intp)
-            self.gate_rows = _np.asarray(self.cc.gate_nids,
-                                         dtype=_np.intp)
-
-    # ------------------------------------------------------------------
-    def _take(self, words: int):
-        with self._lock:
-            V = self._pool.pop(words, None)
-        if V is None:
-            V = _np.zeros((self.ac.rows, words), dtype=_np.uint64)
-        return V
-
-    def _put(self, words: int, V) -> None:
-        with self._lock:
-            self._pool[words] = V
-
-    # ------------------------------------------------------------------
-    def simulate(self, source_masks: Dict[int, int],
-                 width: int) -> Dict[int, int]:
-        """Grouped numpy evaluation of one packed pattern set."""
-        np = _np
-        cc = self.cc
-        ac = self.ac
-        words = (width + 63) >> 6
-        full_int = (1 << width) - 1
-        wb = words * 8
-        # Batched mask packing: one bytes blob for every source row.
-        # The genexpr raises the contract KeyError on a missing source
-        # before any state is touched.
-        payload = b"".join(
-            (source_masks[nid] & full_int).to_bytes(wb, "little")
-            for nid in cc.required_sources)
-        V = self._take(words)
-        try:
-            fullw = _int_to_words(full_int, words)
-            V[ac.one_row] = fullw  # AND pad; zero pad rows stay 0
-            if payload:
-                V[self.src_rows] = np.frombuffer(
-                    payload, dtype="<u8").astype(
-                    np.uint64, copy=False).reshape(-1, words)
-            for nid in ac.tie1:
-                V[nid] = fullw
-            for groups in ac.levels:
-                for g in groups:
-                    op = g.op
-                    G = V[g.F2]
-                    if op in _AND_LIKE:
-                        acc = np.bitwise_and.reduce(G, axis=0)
-                        if op == OP_NAND:
-                            acc = fullw ^ acc
-                    elif op in _OR_LIKE:
-                        acc = np.bitwise_or.reduce(G, axis=0)
-                        if op == OP_NOR:
-                            acc = fullw ^ acc
-                    elif op == OP_NOT:
-                        acc = fullw ^ G[0]
-                    elif op == OP_BUF:
-                        acc = G[0]
-                    else:  # XOR / XNOR
-                        acc = np.bitwise_xor.reduce(G, axis=0)
-                        if op == OP_XNOR:
-                            acc = fullw ^ acc
-                    V[g.out] = acc
-            # Batched unpacking: one contiguous gather + tobytes for
-            # all gate rows, then a bytes slice per node.
-            raw = memoryview(V[self.gate_rows].astype(
-                "<u8", copy=False).tobytes())
-            masks = dict(source_masks)
-            for k, nid in enumerate(cc.gate_nids):
-                masks[nid] = int.from_bytes(
-                    raw[k * wb:(k + 1) * wb], "little")
-            return masks
-        finally:
-            self._put(words, V)
-
-
-_PATTERN_LOCK = threading.Lock()
-_PATTERN_CACHE: "OrderedDict[str, ArrayPatternEngine]" = OrderedDict()
-_PATTERN_HITS = 0
-_PATTERN_MISSES = 0
-
-
-def pattern_engine(circuit: Circuit) -> ArrayPatternEngine:
-    """Fetch (or build) the resident pattern engine for a circuit.
-
-    Keyed by :meth:`~repro.circuit.netlist.Circuit.fingerprint` -- the
-    same keying as the compiled-kernel LRU -- with hit/miss counters
-    mirroring :meth:`ArrayFaultSimulator._plan_for`, surfaced through
-    :func:`pattern_cache_stats`.  Requires the numpy substrate.
-    """
-    global _PATTERN_HITS, _PATTERN_MISSES
-    if _np is None:
-        raise ValueError("pattern_engine requires the numpy substrate")
-    key = circuit.fingerprint()
-    with _PATTERN_LOCK:
-        engine = _PATTERN_CACHE.get(key)
-        if engine is not None:
-            _PATTERN_CACHE.move_to_end(key)
-            _PATTERN_HITS += 1
-            return engine
-        _PATTERN_MISSES += 1
-        engine = ArrayPatternEngine(circuit)
-        _PATTERN_CACHE[key] = engine
-        while len(_PATTERN_CACHE) > PATTERN_CACHE_CAP:
-            _PATTERN_CACHE.popitem(last=False)
-        return engine
-
-
-def pattern_cache_stats() -> Dict[str, int]:
-    """Counters of the resident pattern-engine LRU."""
-    with _PATTERN_LOCK:
-        return {"entries": len(_PATTERN_CACHE), "hits": _PATTERN_HITS,
-                "misses": _PATTERN_MISSES, "cap": PATTERN_CACHE_CAP}
-
-
-def clear_pattern_cache() -> None:
-    """Drop resident pattern engines and reset the counters (tests)."""
-    global _PATTERN_HITS, _PATTERN_MISSES
-    with _PATTERN_LOCK:
-        _PATTERN_CACHE.clear()
-        _PATTERN_HITS = 0
-        _PATTERN_MISSES = 0
-
-
-def simulate_patterns_array(circuit: Circuit,
-                            source_masks: Dict[int, int],
-                            width: int,
-                            use_numpy: Optional[bool] = None,
-                            grouped: bool = False
-                            ) -> Dict[int, int]:
-    """Packed pattern evaluation through the resident array engine.
-
-    Drop-in for :func:`repro.sim.parallel.simulate_patterns` (identical
-    masks, identical ``KeyError`` on a missing source).  On the
-    single-plane pattern workload the compiled straight-line kernels
-    are the fastest substrate at *every* measured width -- the grouped
-    matrix path's per-level gathers copy ``max_fanin * gates * words``
-    words, so it scales worse with width, not better -- and the default
-    route therefore always runs them, with the resident engine and the
-    memoized fingerprint amortizing the lowering/setup that used to
-    dominate narrow calls.  ``grouped=True`` forces the level-grouped
-    numpy evaluation (the differential parity leg; bit-identical).
-    Without numpy everything delegates to the compiled kernels (the
-    bigint substrate has no cross-gate vectorization to offer here),
-    and ``grouped=True`` is an error there.
-    """
-    if use_numpy is None:
-        use_numpy = HAVE_NUMPY
-    elif use_numpy and not HAVE_NUMPY:
-        raise ValueError("use_numpy=True but numpy is not importable")
-    if not use_numpy:
-        if grouped:
-            raise ValueError(
-                "grouped=True requires the numpy substrate")
-        return compile_circuit(circuit).simulate_patterns(
-            source_masks, width)
-    engine = pattern_engine(circuit)
-    if not grouped:
-        return engine.cc.simulate_patterns(source_masks, width)
-    return engine.simulate(source_masks, width)

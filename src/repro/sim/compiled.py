@@ -48,8 +48,8 @@ from .faultsim import FaultSimulator
 
 #: Selectable simulation backends (`ATPGConfig.sim_backend`, CLI
 #: ``--backend``).  "array" lives in :mod:`repro.sim.array_backend`
-#: (whole-circuit vectorized kernels, numpy-accelerated when the
-#: ``repro[fast]`` extra is installed, pure-bigint otherwise).
+#: (whole-circuit numpy kernels with the ``repro[fast]`` extra; the
+#: factories resolve it to "compiled" without numpy).
 SIM_BACKENDS = ("reference", "compiled", "array")
 
 #: Integer opcodes of the lowered gate schedule.
@@ -349,8 +349,7 @@ def clear_compile_cache() -> None:
         _CACHE_MISSES = 0
 
 
-def warm_cache(circuit: Circuit, backend: str = "compiled"
-               ) -> CompiledCircuit:
+def warm_cache(circuit: Circuit) -> CompiledCircuit:
     """Pre-compile ``circuit``'s kernels in *this* process.
 
     The lowering cache is plain module state and therefore per-process:
@@ -360,21 +359,10 @@ def warm_cache(circuit: Circuit, backend: str = "compiled"
     parent had compiled before the pool started.  Workers call this
     once per assigned circuit so compilation happens up front rather
     than inside the first pipeline stage; in an already-warm process it
-    is a cache hit and free.
-
-    ``backend='array'`` additionally builds the array lowering and the
-    resident pattern engine (on the numpy substrate), so array suite
-    workers don't pay the grouped lowering inside their first stage
-    either; every other backend value just warms the compiled kernels
-    the array backend sits on anyway.
+    is a cache hit and free.  The array backend lowers from these
+    same kernels.
     """
-    cc = compile_circuit(circuit)
-    if backend == "array":
-        from . import array_backend
-        array_backend.array_form(circuit)
-        if array_backend.HAVE_NUMPY:
-            array_backend.pattern_engine(circuit)
-    return cc
+    return compile_circuit(circuit)
 
 
 # ----------------------------------------------------------------------
@@ -619,20 +607,22 @@ def make_fault_simulator(circuit: Circuit, width: Optional[int] = None,
     """Factory over :data:`SIM_BACKENDS`; all share one contract.
 
     ``width=None`` picks the backend's default batch width (128 for the
-    reference and compiled engines; the array backend chooses by
-    substrate -- wide for numpy, 128 for the bigint fallback).  Safe
+    reference and compiled engines, wide for the array backend).  Safe
     because detection sets are width-independent: each fault occupies
-    its own machine, so batch packing never changes a verdict.
+    its own machine, so batch packing never changes a verdict.  Without
+    numpy, ``backend='array'`` builds the compiled simulator.
     """
+    if backend == "array":
+        # Imported lazily: array_backend builds on this module.
+        from . import array_backend
+        if array_backend.HAVE_NUMPY:
+            return array_backend.ArrayFaultSimulator(circuit, width=width)
+        backend = "compiled"
     if backend == "compiled":
         return CompiledFaultSimulator(
             circuit, width=128 if width is None else width)
     if backend == "reference":
         return FaultSimulator(
             circuit, width=128 if width is None else width)
-    if backend == "array":
-        # Imported lazily: array_backend builds on this module.
-        from .array_backend import ArrayFaultSimulator
-        return ArrayFaultSimulator(circuit, width=width)
     raise ValueError(
         f"unknown sim backend {backend!r}; expected one of {SIM_BACKENDS}")

@@ -80,21 +80,17 @@ def signatures(circuit: Circuit, width: int = 256,
                backend: str = "reference") -> Dict[int, int]:
     """Random-pattern signature of every node (PIs/FFs included).
 
-    ``backend='compiled'`` evaluates through the straight-line kernels
-    of :mod:`repro.sim.compiled`, ``backend='array'`` through the
-    level-vectorized kernels of :mod:`repro.sim.array_backend`; masks
-    are bit-identical any way.
+    ``backend='compiled'`` and ``backend='array'`` evaluate through the
+    straight-line kernels of :mod:`repro.sim.compiled` (the fastest
+    substrate for single-plane patterns at every width); masks are
+    bit-identical either way.
     """
     rng = rng or random.Random(20260611)
     source = random_source_masks(circuit, width, rng)
-    if backend == "compiled":
+    if backend in ("compiled", "array"):
         from .compiled import compile_circuit
 
         return compile_circuit(circuit).simulate_patterns(source, width)
-    if backend == "array":
-        from .array_backend import simulate_patterns_array
-
-        return simulate_patterns_array(circuit, source, width)
     if backend != "reference":
         from .compiled import SIM_BACKENDS
 

@@ -43,7 +43,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..circuit.netlist import Circuit
-from .array_backend import ArrayFaultSimulator
+from . import array_backend
+from .array_backend import ArrayFaultSimulator, _np
 from .compiled import SIM_BACKENDS, make_fault_simulator
 
 __all__ = ["ArrayResidentDropper", "SubsetResidentDropper",
@@ -58,7 +59,7 @@ class _ResidentBatch:
     def __init__(self, indices: List[int], plan, det, live: int):
         self.indices = indices
         self.plan = plan
-        self.det = det      # pre-seeded detection mask (np row / int)
+        self.det = det      # pre-seeded detection mask (uint64 row)
         self.live = live
 
 
@@ -74,13 +75,10 @@ class ArrayResidentDropper:
     """
 
     def __init__(self, circuit: Circuit, faults: Sequence, live:
-                 Sequence[int], width: Optional[int] = None,
-                 use_numpy: Optional[bool] = None):
-        self._sim = ArrayFaultSimulator(circuit, width=width,
-                                        use_numpy=use_numpy)
+                 Sequence[int], width: Optional[int] = None):
+        self._sim = ArrayFaultSimulator(circuit, width=width)
         self._faults = faults
         self.width = self._sim.width
-        self.use_numpy = self._sim.use_numpy
         self.drop_calls = 0
         self.drop_hits = 0
         self.repacks = 0
@@ -100,7 +98,7 @@ class ArrayResidentDropper:
             indices = live[start:start + self.width]
             batch = [faults[i] for i in indices]
             plan = sim._plan_for(batch)
-            det = (_np_zero_row(plan.words) if sim.use_numpy else 0)
+            det = _np.zeros(plan.words, dtype=_np.uint64)
             rb = _ResidentBatch(indices, plan, det, len(indices))
             for col, gidx in enumerate(indices):
                 self._pos[gidx] = (rb, col)
@@ -108,10 +106,7 @@ class ArrayResidentDropper:
 
     def _retire(self, index: int) -> None:
         rb, col = self._pos.pop(index)
-        if self._sim.use_numpy:
-            rb.det[col >> 6] |= _np_bit(col)
-        else:
-            rb.det |= 1 << col
+        rb.det[col >> 6] |= _np.uint64(1 << (col & 63))
         rb.live -= 1
         self.live_count -= 1
 
@@ -143,13 +138,8 @@ class ArrayResidentDropper:
         for rb in self._batches:
             if not rb.live:
                 continue
-            if sim.use_numpy:
-                locals_ = sim._run_plan_np(sequence, rb.plan,
-                                           good_frames, pre_det=rb.det)
-            else:
-                locals_ = sim._run_plan_int(
-                    sequence, rb.plan, len(rb.indices), good_frames,
-                    pre_det=rb.det)
+            locals_ = sim._run_plan(sequence, rb.plan, good_frames,
+                                    pre_det=rb.det)
             for col in locals_:
                 hits.append(rb.indices[col])
         for index in hits:
@@ -213,36 +203,22 @@ class SubsetResidentDropper:
 def make_resident_dropper(circuit: Circuit, faults: Sequence,
                           live: Sequence[int], *,
                           backend: str = "compiled",
-                          width: Optional[int] = None,
-                          use_numpy: Optional[bool] = None):
+                          width: Optional[int] = None):
     """Dropper factory over :data:`~repro.sim.compiled.SIM_BACKENDS`.
 
-    ``backend='array'`` builds the resident column engine; 'reference'
-    and 'compiled' get the subset dropper.  ``width`` is a pure batch
+    ``backend='array'`` builds the resident column engine, or the
+    compiled subset dropper when numpy is absent; 'reference' and
+    'compiled' get the subset dropper.  ``width`` is a pure batch
     packing knob (``None`` = backend default) and never changes any
-    detection set; ``use_numpy`` is forwarded to the array substrate
-    probe.
+    detection set.
     """
     if backend == "array":
-        return ArrayResidentDropper(circuit, faults, live, width=width,
-                                    use_numpy=use_numpy)
+        if array_backend.HAVE_NUMPY:
+            return ArrayResidentDropper(circuit, faults, live, width=width)
+        backend = "compiled"
     if backend not in SIM_BACKENDS:
         raise ValueError(f"unknown sim backend {backend!r}; "
                          f"expected one of {SIM_BACKENDS}")
     return SubsetResidentDropper(circuit, faults, live,
                                  backend=backend, width=width)
 
-
-# ----------------------------------------------------------------------
-# numpy shims (kept here so the module imports without numpy)
-# ----------------------------------------------------------------------
-def _np_zero_row(words: int):
-    from .array_backend import _np
-
-    return _np.zeros(words, dtype=_np.uint64)
-
-
-def _np_bit(col: int):
-    from .array_backend import _np
-
-    return _np.uint64(1 << (col & 63))

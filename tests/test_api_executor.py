@@ -6,8 +6,7 @@ The redesign's core promises checked here:
   versioned envelope;
 * responses agree with the pre-API ``PipelineSession`` reports;
 * failures come back as coded error envelopes, never raw tracebacks;
-* a store-warmed run is canonically byte-identical to a cold one;
-* the deprecated ``Session`` shim still works (and warns).
+* a store-warmed run is canonically byte-identical to a cold one.
 """
 
 import dataclasses
@@ -35,7 +34,7 @@ from repro.api import (
     plan_request,
 )
 from repro.core import LearnConfig
-from repro.flow import ATPGConfig, PipelineSession, ReproConfig, Session
+from repro.flow import ATPGConfig, PipelineSession, ReproConfig
 
 
 def tiny_config(**kwargs) -> ReproConfig:
@@ -86,6 +85,24 @@ def test_atpg_envelope_matches_pipeline_session():
         reference = {k: v for k, v in expected["atpg"][mode].items()
                      if k != "cpu_s"}
         assert observed == reference
+
+
+def test_dict_config_on_a_typed_request():
+    """A plain-dict ``config`` runs as the equivalent ReproConfig; a
+    bad one is a ``config`` error envelope."""
+    response = execute(ATPGRequest(
+        spec="s27", modes=("none",), canonical=True,
+        config={"atpg": {"backtrack_limit": 5}}))
+    assert response.ok
+    typed = execute(ATPGRequest(
+        spec="s27", modes=("none",), canonical=True,
+        config=ReproConfig(atpg=ATPGConfig(backtrack_limit=5))))
+    assert response.to_json() == typed.to_json()
+
+    bad = execute(ATPGRequest(spec="s27",
+                              config={"atpg": {"no_such_knob": 5}}))
+    assert not bad.ok
+    assert bad.error["code"] == "config"
 
 
 def test_untestable_and_stats_and_analyze_and_list():
@@ -291,37 +308,13 @@ def test_learn_save_stamps_digest(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# the deprecated Session shim
+# the pipeline session
 # ----------------------------------------------------------------------
-def test_session_shim_warns_and_still_works():
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        session = Session("figure1", config=tiny_config())
-    stats = session.atpg("known")
-    assert stats.total_faults > 0
-    assert isinstance(session, PipelineSession)
-
-
 def test_pipeline_session_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         session = PipelineSession("figure1", config=tiny_config())
     assert session.circuit.name == "figure1"
-
-
-def test_session_shim_report_matches_api_envelope():
-    config = tiny_config()
-    with pytest.warns(DeprecationWarning):
-        session = Session("figure1", config=dataclasses.replace(config))
-    session.learn()
-    session.compare(["known"])
-    response = execute(ATPGRequest(spec="figure1", config=config,
-                                   modes=("known",)))
-    shim_report = session.report()
-    observed = {k: v for k, v in response.result["atpg"]["known"].items()
-                if k != "cpu_s"}
-    reference = {k: v for k, v in shim_report["atpg"]["known"].items()
-                 if k != "cpu_s"}
-    assert observed == reference
 
 
 def test_store_write_failure_does_not_fail_the_request(monkeypatch):

@@ -285,7 +285,7 @@ def raw_http(server, request_bytes: bytes):
 
 
 def test_oversized_body_is_413_envelope_not_a_dropped_connection():
-    from repro.api.server import MAX_BODY_BYTES
+    from repro.serve.daemon import MAX_BODY_BYTES
 
     with running_server() as server:
         status, payload = raw_http(server, (

@@ -1,7 +1,6 @@
-"""The injection-plan cache of the array backend (satellite of the
-devtools PR): repeated ``detected()`` calls over the same fault list
-must hit the cache and keep returning identical results, on both
-substrates, with the LRU cap enforced."""
+"""The injection-plan cache of the array backend: repeated
+``detected()`` calls over the same fault list must hit the cache and
+keep returning identical results, with the LRU cap enforced."""
 
 import random
 
@@ -15,7 +14,8 @@ from repro.sim.array_backend import (
     ArrayFaultSimulator,
 )
 
-SUBSTRATES = [False] + ([True] if HAVE_NUMPY else [])
+pytestmark = pytest.mark.skipif(not HAVE_NUMPY,
+                                reason="the array backend needs numpy")
 
 
 def _sequences(circuit, n_seq, frames, seed):
@@ -25,11 +25,10 @@ def _sequences(circuit, n_seq, frames, seed):
              for _ in range(frames)] for _ in range(n_seq)]
 
 
-@pytest.mark.parametrize("use_numpy", SUBSTRATES)
-def test_plan_cache_hits_and_identical_results(use_numpy):
+def test_plan_cache_hits_and_identical_results():
     circuit = iscas_like("s953", scale=0.25)
     faults = collapse_faults(circuit)
-    sim = ArrayFaultSimulator(circuit, use_numpy=use_numpy)
+    sim = ArrayFaultSimulator(circuit)
     sequences = _sequences(circuit, 4, 6, seed=7)
 
     first = [sim.detected(seq, faults) for seq in sequences]
@@ -42,15 +41,14 @@ def test_plan_cache_hits_and_identical_results(use_numpy):
     assert first == second
 
     # A fresh simulator (cold cache) agrees bit-for-bit.
-    cold = ArrayFaultSimulator(circuit, use_numpy=use_numpy)
+    cold = ArrayFaultSimulator(circuit)
     assert [cold.detected(seq, faults) for seq in sequences] == first
 
 
-@pytest.mark.parametrize("use_numpy", SUBSTRATES)
-def test_plan_cache_distinguishes_batches(use_numpy):
+def test_plan_cache_distinguishes_batches():
     circuit = iscas_like("s953", scale=0.25)
     faults = collapse_faults(circuit)
-    sim = ArrayFaultSimulator(circuit, use_numpy=use_numpy)
+    sim = ArrayFaultSimulator(circuit)
     seq = _sequences(circuit, 1, 6, seed=11)[0]
     full = sim.detected(seq, faults)
     # A different slice of the same list is a different plan, and its
@@ -64,7 +62,7 @@ def test_plan_cache_distinguishes_batches(use_numpy):
 def test_plan_cache_cap_is_enforced():
     circuit = iscas_like("s386", scale=0.25)
     faults = collapse_faults(circuit)
-    sim = ArrayFaultSimulator(circuit, use_numpy=False, width=4)
+    sim = ArrayFaultSimulator(circuit, width=4)
     seq = _sequences(circuit, 1, 4, seed=3)[0]
     # width=4 slices the list into many batches -> many plans.
     sim.detected(seq, faults)

@@ -3,10 +3,9 @@
 The compiled backend (:mod:`repro.sim.compiled`) re-implements the two
 simulation hot paths with generated straight-line code; the array
 backend (:mod:`repro.sim.array_backend`) lowers them again to
-whole-circuit bitwise operations (numpy word matrices when available,
-wide Python bigints otherwise).  Their contract is *bit-identical
-results*, so every case here runs all backends on the same input and
-requires exact equality of
+whole-circuit bitwise operations on numpy word matrices.  Their
+contract is *bit-identical results*, so every case here runs all
+backends on the same input and requires exact equality of
 
 * packed pattern masks for every node,
 * fault-detection index sets (exercising batching, pin faults, FF
@@ -15,32 +14,32 @@ requires exact equality of
 
 Cases cover plain random circuits across sizes, retimed circuits and
 multi-clock-domain industrial-like circuits (200+ generated netlists).
-The array backend runs on *both* substrates for every case
-(``use_numpy=False`` is exactly the code path a numpy-less install
-takes), with batch widths cycling through {1, 7, 64, 128, 257} to
-cross word boundaries (64, 128) and partial-word tails (7, 257).
+The array backend is built through
+:func:`~repro.sim.compiled.make_fault_simulator`, with batch widths
+cycling through {1, 7, 64, 128, 257} to cross word boundaries (64, 128)
+and partial-word tails (7, 257).  Without numpy the factory resolves
+``array`` to the compiled backend, which
+:func:`test_array_without_numpy_resolves_to_compiled` pins down.
 """
 
-import os
 import random
-import subprocess
-import sys
 import zlib
 
 import pytest
 
-import repro
 from repro.atpg.driver import run_atpg
 from repro.atpg.faults import collapse_faults, full_fault_list
 from repro.circuit import industrial_like, random_circuit, retime_circuit
-from repro.sim.array_backend import (
-    HAVE_NUMPY,
-    ArrayFaultSimulator,
-    simulate_patterns_array,
+from repro.sim import array_backend
+from repro.sim.array_backend import ArrayFaultSimulator
+from repro.sim.compiled import (
+    CompiledFaultSimulator,
+    compile_circuit,
+    make_fault_simulator,
 )
-from repro.sim.compiled import CompiledFaultSimulator, compile_circuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.parallel import random_source_masks, simulate_patterns
+from repro.sim.resident import SubsetResidentDropper, make_resident_dropper
 
 #: Array-backend batch widths, cycled per case so the whole corpus
 #: crosses every boundary class without multiplying its runtime.
@@ -92,15 +91,12 @@ def test_backends_identical(kind, seed):
     compiled = compile_circuit(circuit)
     rng = random.Random(zlib.crc32(kind.encode()) ^ seed)
 
-    # Packed pattern masks, node for node, across all three backends
-    # (the array backend on both substrates).
+    # Packed pattern masks, node for node (the array backend evaluates
+    # patterns through the compiled kernels).
     width = 1 + rng.randrange(64)
     source = random_source_masks(circuit, width, rng)
     masks = simulate_patterns(circuit, source, width)
     assert compiled.simulate_patterns(source, width) == masks
-    assert simulate_patterns_array(circuit, source, width) == masks
-    assert simulate_patterns_array(circuit, source, width,
-                                   use_numpy=False) == masks
 
     # Fault-detection sets over the collapsed list, odd word widths to
     # exercise batch boundaries (width 1 = one machine per word).
@@ -116,10 +112,8 @@ def test_backends_identical(kind, seed):
     # width-independent, so every rung must reproduce the reference set
     # exactly, ghost columns and batch tails included.
     array_width = ARRAY_WIDTHS[seed % len(ARRAY_WIDTHS)]
-    assert ArrayFaultSimulator(circuit, width=array_width).detected(
-        sequence, faults) == detected
-    assert ArrayFaultSimulator(
-        circuit, width=array_width, use_numpy=False).detected(
+    assert make_fault_simulator(
+        circuit, width=array_width, backend="array").detected(
         sequence, faults) == detected
 
 
@@ -135,10 +129,8 @@ def test_backends_identical_uncollapsed(seed):
     assert CompiledFaultSimulator(circuit, width=32).detected(
         sequence, faults) == detected
     array_width = ARRAY_WIDTHS[seed % len(ARRAY_WIDTHS)]
-    assert ArrayFaultSimulator(circuit, width=array_width).detected(
-        sequence, faults) == detected
-    assert ArrayFaultSimulator(
-        circuit, width=array_width, use_numpy=False).detected(
+    assert make_fault_simulator(
+        circuit, width=array_width, backend="array").detected(
         sequence, faults) == detected
 
 
@@ -165,42 +157,47 @@ def test_atpg_stats_identical(kind, seed):
 
 
 def test_numpy_substrates_covered():
-    """The harness above is only a three-backend proof if the two array
-    legs actually differ; when numpy is importable the default leg must
-    be on numpy (``use_numpy=False`` supplied the bigint leg)."""
-    circuit = _build("random", 0)
-    sim = ArrayFaultSimulator(circuit)
-    assert sim.use_numpy == HAVE_NUMPY
+    """The harness above builds the array leg through the factory, so
+    it is only a three-backend proof if that leg really runs the numpy
+    kernels whenever numpy is importable."""
+    sim = make_fault_simulator(_build("random", 0), backend="array")
+    expected = (ArrayFaultSimulator if array_backend.HAVE_NUMPY
+                else CompiledFaultSimulator)
+    assert type(sim) is expected
 
 
-def test_numpy_disable_env_forces_bigint_fallback():
-    """``REPRO_ARRAY_DISABLE_NUMPY`` is the numpy-absent leg in CI: a
-    fresh interpreter with it set must import the array backend on the
-    bigint substrate and still agree with the reference engine."""
-    src_root = os.path.dirname(os.path.dirname(
-        os.path.abspath(repro.__file__)))
-    code = (
-        "from repro.sim.array_backend import HAVE_NUMPY, "
-        "ArrayFaultSimulator\n"
-        "from repro.sim.faultsim import FaultSimulator\n"
-        "from repro.circuit import s27\n"
-        "from repro.atpg.faults import collapse_faults\n"
-        "assert not HAVE_NUMPY\n"
-        "circuit = s27()\n"
-        "sim = ArrayFaultSimulator(circuit)\n"
-        "assert not sim.use_numpy\n"
-        "faults = collapse_faults(circuit)\n"
-        "names = [circuit.nodes[i].name for i in circuit.inputs]\n"
-        "seq = [{name: (t + i) % 2 for i, name in enumerate(names)}\n"
-        "       for t in range(6)]\n"
-        "assert (sim.detected(seq, faults)\n"
-        "        == FaultSimulator(circuit).detected(seq, faults))\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ,
-               REPRO_ARRAY_DISABLE_NUMPY="1",
-               PYTHONPATH=src_root)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+def test_array_without_numpy_resolves_to_compiled(monkeypatch):
+    """With numpy absent, ``backend='array'`` resolves to the compiled
+    backend in the factories: the compiled simulator and the compiled
+    subset dropper, with the reference engine's detection sets and ATPG
+    statistics."""
+    monkeypatch.setattr(array_backend, "HAVE_NUMPY", False)
+    circuit = _build("industrial", 3)
+    faults = collapse_faults(circuit)
+    rng = random.Random(3)
+    sequences = [_sequence(circuit, rng, length=6) for _ in range(4)]
+    reference = FaultSimulator(circuit)
+
+    sim = make_fault_simulator(circuit, backend="array")
+    assert type(sim) is CompiledFaultSimulator
+    for sequence in sequences:
+        assert (sim.detected(sequence, faults)
+                == reference.detected(sequence, faults))
+
+    live = list(range(len(faults)))
+    dropper = make_resident_dropper(circuit, faults, live,
+                                    backend="array")
+    assert type(dropper) is SubsetResidentDropper
+    assert dropper.stats()["backend"] == "compiled"
+    oracle = SubsetResidentDropper(circuit, faults, live,
+                                   backend="reference")
+    for sequence in sequences:
+        assert sorted(dropper.drop(sequence)) == sorted(
+            oracle.drop(sequence))
+
+    rows = [run_atpg(circuit, mode="none", backtrack_limit=8,
+                     max_frames=4, max_faults=24, sim_backend=backend)
+            for backend in ("reference", "array")]
+    assert _stats_key(rows[0]) == _stats_key(rows[1])
+    with pytest.raises(ValueError, match="numpy"):
+        ArrayFaultSimulator(circuit)

@@ -15,6 +15,7 @@ from repro.atpg.faults import Fault, collapse_faults
 from repro.circuit import random_circuit, s27
 from repro.circuit.gates import ZERO
 from repro.sim import (
+    HAVE_NUMPY,
     ArrayFaultSimulator,
     CompiledFaultSimulator,
     FaultSimulator,
@@ -22,16 +23,14 @@ from repro.sim import (
     make_fault_simulator,
 )
 
-#: Every fault-simulator construction path: the two scalar engines plus
-#: both array substrates (the numpy entry silently runs on bigints too
-#: when numpy is absent -- that is the fallback contract).
+#: Every fault-simulator backend.  The array entry goes through the
+#: factory, which builds the compiled simulator when numpy is absent.
 BACKENDS = (
     FaultSimulator,
     CompiledFaultSimulator,
-    ArrayFaultSimulator,
-    partial(ArrayFaultSimulator, use_numpy=False),
+    partial(make_fault_simulator, backend="array"),
 )
-BACKEND_IDS = ("reference", "compiled", "array", "array-bigint")
+BACKEND_IDS = ("reference", "compiled", "array")
 
 
 def _circuit():
@@ -87,9 +86,9 @@ def test_make_fault_simulator_backends():
     assert isinstance(make_fault_simulator(circuit, backend="compiled"),
                       CompiledFaultSimulator)
     assert isinstance(make_fault_simulator(circuit, backend="array"),
-                      ArrayFaultSimulator)
-    # 'numpy' is not a backend: the array backend picks its substrate
-    # itself (numpy when importable, bigint otherwise).
+                      ArrayFaultSimulator if HAVE_NUMPY
+                      else CompiledFaultSimulator)
+    # 'numpy' is not a backend: 'array' uses numpy when importable.
     with pytest.raises(ValueError, match="backend"):
         make_fault_simulator(circuit, backend="numpy")
 

@@ -1,4 +1,4 @@
-"""Session pipeline: stage caching, legacy equivalence, suites."""
+"""Pipeline session: stage caching, legacy equivalence, suites."""
 
 import pytest
 
@@ -7,8 +7,8 @@ from repro.flow import (
     ATPGConfig,
     CircuitResolveError,
     ConfigError,
+    PipelineSession,
     ReproConfig,
-    Session,
     resolve_circuit,
     run_suite,
 )
@@ -50,7 +50,7 @@ def test_session_matches_legacy_path(make):
     circuit = make()
     legacy_learned = learn(circuit, LearnConfig())
 
-    session = Session(make())
+    session = PipelineSession(make())
     learned = session.learn()
     legacy_summary = dict(legacy_learned.summary())
     summary = dict(learned.summary())
@@ -67,7 +67,7 @@ def test_session_matches_legacy_path(make):
 
 def test_session_stage_caching_and_progress():
     events = []
-    session = Session("figure1",
+    session = PipelineSession("figure1",
                       progress=lambda s, e, p: events.append((s, e)))
     first = session.learn()
     assert session.learn() is first          # cached, no rerun
@@ -84,11 +84,11 @@ def test_session_stage_caching_and_progress():
 
 def test_session_artifact_round_trip(tmp_path):
     path = tmp_path / "art.json"
-    producer = Session("figure1")
+    producer = PipelineSession("figure1")
     producer.save_learned(path)
     fresh_stats = producer.atpg("forbidden")
 
-    consumer = Session("figure1")
+    consumer = PipelineSession("figure1")
     consumer.load_learned(path)
     # No learn-from-scratch stage ran: the learn record is artifact-backed.
     learn_records = [r for r in consumer.records if r.stage == "learn"]
@@ -99,14 +99,14 @@ def test_session_artifact_round_trip(tmp_path):
 
 
 def test_attach_learned_rejects_other_circuit():
-    session = Session("figure1")
+    session = PipelineSession("figure1")
     other = learn(s27())
     with pytest.raises(CircuitResolveError):
         session.attach_learned(other)
 
 
 def test_untestable_screen_reuses_learning():
-    session = Session("figure1")
+    session = PipelineSession("figure1")
     comparison = session.untestable_screen()
     assert comparison.tie_gate_untestable >= 1
     stages = [record.stage for record in session.records]
@@ -117,12 +117,12 @@ def test_untestable_screen_reuses_learning():
 # sequences opt-in and fault-sim stage
 # ----------------------------------------------------------------------
 def test_keep_sequences_opt_in():
-    lean = Session("figure1").atpg("known")
+    lean = PipelineSession("figure1").atpg("known")
     assert lean.sequences == [] and lean.sequences_total > 0
     assert lean.row()["sequences"] == lean.sequences_total
 
     config = ReproConfig(atpg=ATPGConfig(keep_sequences=True))
-    full = Session("figure1", config).atpg("known")
+    full = PipelineSession("figure1", config).atpg("known")
     assert len(full.sequences) == full.sequences_total
     assert _comparable(full) == _comparable(lean)
 
@@ -130,7 +130,7 @@ def test_keep_sequences_opt_in():
 def test_fault_sim_stage():
     config = ReproConfig(atpg=ATPGConfig(mode="known",
                                          keep_sequences=True))
-    session = Session("figure1", config)
+    session = PipelineSession("figure1", config)
     stats = session.atpg()
     grade = session.fault_sim()
     assert grade is session.fault_sim()      # cached
@@ -138,7 +138,7 @@ def test_fault_sim_stage():
     assert grade["detected"] >= stats.detected
     assert grade["detected"] <= grade["total_faults"]
 
-    lean = Session("figure1")
+    lean = PipelineSession("figure1")
     lean.atpg("known")
     with pytest.raises(ConfigError, match="keep_sequences"):
         lean.fault_sim("known")
@@ -150,7 +150,7 @@ def test_fault_sim_stage():
 def test_session_report_is_json_ready():
     import json
 
-    session = Session("figure1")
+    session = PipelineSession("figure1")
     session.compare(("none", "known"))
     report = json.loads(json.dumps(session.report()))
     assert report["circuit"] == "figure1"

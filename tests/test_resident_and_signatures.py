@@ -1,13 +1,12 @@
-"""Wide learning signatures + resident fault dropping (PR 9).
+"""Wide learning signatures + resident fault dropping.
 
 Two contracts under test:
 
-* **Signatures are backend- and substrate-invariant at any width.**
+* **Signatures are backend-invariant at any width.**
   :func:`repro.sim.parallel.signatures` must produce byte-identical
-  node masks through the reference interpreters, the compiled
-  straight-line kernels and the array backend (numpy and bigint
-  substrates, grouped and compiled-routed paths) at both the historical
-  256-bit width and the 4096-bit array word width.
+  node masks through the reference interpreters and the compiled
+  straight-line kernels (which ``backend='array'`` also runs) at both
+  the historical 256-bit width and the 4096-bit array word width.
 
 * **Resident dropping never changes a detection outcome.**  The
   :mod:`repro.sim.resident` droppers freeze fault batches and compact
@@ -17,24 +16,14 @@ Two contracts under test:
   forced and without.
 """
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import repro
 from repro.atpg.faults import collapse_faults
 from repro.circuit import industrial_like, random_circuit, s27
-from repro.sim.array_backend import (
-    HAVE_NUMPY,
-    clear_pattern_cache,
-    pattern_cache_stats,
-    pattern_engine,
-    simulate_patterns_array,
-)
-from repro.sim.parallel import random_source_masks, signatures
+from repro.sim.array_backend import HAVE_NUMPY
+from repro.sim.parallel import signatures
 from repro.sim.resident import (
     ArrayResidentDropper,
     SubsetResidentDropper,
@@ -44,6 +33,9 @@ from repro.sim.resident import (
 #: The two signature widths the learning engine runs at: the paper's
 #: historical 256 and the array backend's 4096-bit word width.
 SIGNATURE_WIDTHS = (256, 4096)
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
+                                 reason="the array backend needs numpy")
 
 
 def _circuits():
@@ -57,7 +49,7 @@ def _circuits():
 
 
 # ----------------------------------------------------------------------
-# learning signatures across backends x widths x substrates
+# learning signatures across backends x widths
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("width", SIGNATURE_WIDTHS)
 def test_signatures_identical_across_backends(width):
@@ -68,84 +60,6 @@ def test_signatures_identical_across_backends(width):
             assert signatures(circuit, width=width,
                               rng=random.Random(99),
                               backend=backend) == ref
-
-
-@pytest.mark.parametrize("width", SIGNATURE_WIDTHS)
-def test_pattern_masks_identical_on_both_substrates(width):
-    """Both array substrates and both array evaluation paths (the
-    compiled-routed default and the grouped word-matrix kernels) must
-    reproduce the reference masks bit for bit."""
-    from repro.sim.parallel import simulate_patterns
-
-    for circuit in _circuits():
-        rng = random.Random(width)
-        source = random_source_masks(circuit, width, rng)
-        masks = simulate_patterns(circuit, source, width)
-        assert simulate_patterns_array(circuit, source, width) == masks
-        assert simulate_patterns_array(circuit, source, width,
-                                       use_numpy=False) == masks
-        if HAVE_NUMPY:
-            assert simulate_patterns_array(circuit, source, width,
-                                           grouped=True) == masks
-
-
-def test_signatures_bigint_substrate_subprocess():
-    """The numpy-absent leg: a fresh interpreter under
-    ``REPRO_ARRAY_DISABLE_NUMPY`` must produce the same signatures at
-    both widths through the array backend's bigint substrate."""
-    src_root = os.path.dirname(os.path.dirname(
-        os.path.abspath(repro.__file__)))
-    code = (
-        "import random\n"
-        "from repro.sim.array_backend import HAVE_NUMPY\n"
-        "from repro.sim.parallel import signatures\n"
-        "from repro.circuit import random_circuit\n"
-        "assert not HAVE_NUMPY\n"
-        "c = random_circuit('sig_r0', n_inputs=5, n_outputs=4,\n"
-        "                   n_ffs=6, n_gates=40, seed=3)\n"
-        "for width in (256, 4096):\n"
-        "    ref = signatures(c, width=width, rng=random.Random(99),\n"
-        "                     backend='reference')\n"
-        "    arr = signatures(c, width=width, rng=random.Random(99),\n"
-        "                     backend='array')\n"
-        "    assert arr == ref, width\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ,
-               REPRO_ARRAY_DISABLE_NUMPY="1",
-               PYTHONPATH=src_root)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy substrate only")
-def test_pattern_engine_cache_hits():
-    """`simulate_patterns_array` memoizes the resident pattern engine
-    by circuit fingerprint: repeated calls must stop re-lowering."""
-    clear_pattern_cache()
-    circuit = _circuits()[0]
-    rng = random.Random(5)
-    source = random_source_masks(circuit, 256, rng)
-    simulate_patterns_array(circuit, source, 256)
-    first = pattern_cache_stats()
-    assert first["misses"] == 1 and first["entries"] == 1
-    for _ in range(3):
-        simulate_patterns_array(circuit, source, 256)
-    stats = pattern_cache_stats()
-    assert stats["misses"] == 1
-    assert stats["hits"] >= 3
-    assert pattern_engine(circuit) is pattern_engine(circuit)
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy substrate only")
-def test_grouped_path_rejected_on_bigint_substrate():
-    circuit = _circuits()[0]
-    source = random_source_masks(circuit, 64, random.Random(1))
-    with pytest.raises(ValueError):
-        simulate_patterns_array(circuit, source, 64, use_numpy=False,
-                                grouped=True)
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +78,7 @@ def _drop_case(seed):
     return circuit, faults, sequences
 
 
+@needs_numpy
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("width", (None, 7))
 def test_resident_dropper_matches_subset_slicing(seed, width):
@@ -181,19 +96,14 @@ def test_resident_dropper_matches_subset_slicing(seed, width):
     assert resident.stats()["drop_hits"] == subset.stats()["drop_hits"]
 
 
-@pytest.mark.parametrize("use_numpy", (
-    pytest.param(True, marks=pytest.mark.skipif(
-        not HAVE_NUMPY, reason="numpy substrate only")),
-    False,
-))
-def test_dropped_fault_never_resurrects(use_numpy):
+@needs_numpy
+def test_dropped_fault_never_resurrects():
     """Column compaction: once a fault is dropped (by hit or discard)
     no later ``drop`` call may report it again -- even after repacking
     rebuilds every batch."""
     circuit, faults, sequences = _drop_case(1)
     live = list(range(len(faults)))
-    dropper = ArrayResidentDropper(circuit, faults, live, width=5,
-                                   use_numpy=use_numpy)
+    dropper = ArrayResidentDropper(circuit, faults, live, width=5)
     retired = set()
     # Interleave external discards with drops so both retirement paths
     # (and the halving-rule repack) run against the same corpus.
@@ -236,7 +146,7 @@ def test_make_resident_dropper_dispatch():
     live = list(range(len(faults)))
     assert isinstance(
         make_resident_dropper(circuit, faults, live, backend="array"),
-        ArrayResidentDropper)
+        ArrayResidentDropper if HAVE_NUMPY else SubsetResidentDropper)
     for backend in ("reference", "compiled"):
         dropper = make_resident_dropper(circuit, faults, live,
                                         backend=backend)

@@ -31,6 +31,10 @@ def test_counter_series_and_totals():
     assert metrics.counter_total("requests_total") == 3
     assert metrics.counter_value("rejections_total") == 5
     assert metrics.counter_value("never_bumped_total") == 0
+    metrics.inc("requests_total", {"kind": "atpg", "outcome": "error"})
+    assert metrics.counter_by("requests_total", "outcome") == {
+        "ok": 3, "error": 1}
+    assert metrics.counter_by("rejections_total", "outcome") == {"": 5}
 
 
 def test_histogram_le_bucket_semantics():
@@ -187,7 +191,8 @@ def test_metrics_endpoint_json_and_prometheus():
         counters = payload["metrics"]["counters"]
         assert any(key.startswith("requests_total") for key in counters)
         assert {"caches", "admission"} <= set(payload)
-        assert "pattern_cache" in payload["caches"]
+        assert set(payload["caches"]) == {"kernel_cache",
+                                          "artifact_store"}
         assert payload["admission"]["active"] == 0
 
         for path, headers in (
@@ -200,7 +205,8 @@ def test_metrics_endpoint_json_and_prometheus():
             text = body.decode()
             assert "# TYPE repro_requests_total counter" in text
             assert 'outcome="ok"' in text
-            assert "# TYPE repro_requests_served gauge" in text
+            # requests_total is the one ledger; no duplicate gauges.
+            assert "repro_requests_served" not in text
             assert "repro_kernel_cache_" in text
 
 

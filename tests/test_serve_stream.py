@@ -307,6 +307,6 @@ def test_health_exposes_serve_tier_cache_counters():
         assert health["streaming"] is True
         assert health["admission"] == {"active": 0, "interactive": 0,
                                        "batch": 0}
-        assert {"hits", "misses"} <= set(health["pattern_cache"])
+        assert {"hits", "misses"} <= set(health["kernel_cache"])
         store_stats = health["artifact_store"]
         assert {"payload_hits", "payload_misses"} <= set(store_stats)
