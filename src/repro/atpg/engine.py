@@ -282,22 +282,31 @@ class SequentialATPG:
         The windowed PODEM sweep is complete only up to ``max_frames``
         and its objective enumeration; a cheap random probe (longer than
         the window) catches residual optimism and, as a bonus, returns a
-        working test.  Deterministic per fault.
+        working test.  Deterministic per fault, in every process: the
+        seed hashes a tuple of ints only (an output fault's ``None`` pin
+        maps to -1), and int hashes depend on neither the hash seed nor
+        object addresses.
         """
         import random
 
-        from ..sim.faultsim import fault_simulate
-
-        rng = random.Random((fault.node, fault.pin, fault.value,
+        pin = -1 if fault.pin is None else fault.pin
+        rng = random.Random((fault.node, pin, fault.value,
                              0xA7B6).__hash__())
         names = [self.circuit.nodes[i].name for i in self.circuit.inputs]
         length = 2 * self.max_frames + 4
         for _ in range(self._refutation_trials):
             sequence = [{n: rng.randint(0, 1) for n in names}
                         for _ in range(length)]
-            if fault_simulate(self.circuit, sequence, [fault]):
+            if self._detects(sequence, fault):
                 return sequence
         return None
+
+    def _detects(self, sequence: List[Dict[str, int]],
+                 fault: Fault) -> bool:
+        """Does ``sequence`` detect ``fault``?  (reference simulator)"""
+        from ..sim.faultsim import fault_simulate
+
+        return bool(fault_simulate(self.circuit, sequence, [fault]))
 
     # ------------------------------------------------------------------
     # PODEM core

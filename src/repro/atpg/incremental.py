@@ -21,10 +21,19 @@ and moves it incrementally:
   fixpoints (:meth:`_apply_known` / :meth:`_apply_forbidden`) are
   deliberately bounded in rounds, which makes sub-frame increments
   unsound to replay; instead the decision frame and its successors are
-  rebuilt with the exact reference frame body, stopping at the first
-  frame whose flip-flop boundary (good value, faulty value, forbidden
-  shadow of every FF data input) is unchanged -- frames before the
-  decision and after the dead wavefront are never touched;
+  rebuilt from scratch, stopping at the first frame whose flip-flop
+  boundary (good value, faulty value, forbidden shadow of every FF data
+  input) is unchanged -- frames before the decision and after the dead
+  wavefront are never touched.  A rebuilt frame starts with every gate
+  X, so both planes come from one exec-generated straight-line kernel
+  (:func:`repro.sim.compiled.compile_frame_kernel`: a three-valued
+  table lookup per gate, the fault site patched in place, the faulty
+  plane then canonicalized over the fault cone); the forbidden shadow
+  takes one flat topological pass, and only the ``known`` mode's
+  re-evaluation rounds use the event propagation of ``mode='none'``;
+* **compiled refutation probe** -- the random probe run before an
+  untestable verdict simulates the reference's sequences, in the same
+  order, on :class:`~repro.sim.compiled.CompiledFaultSimulator`;
 * **O(hits) implication lookup** -- learned relations are applied from
   antecedent-indexed per-frame buckets
   (:meth:`repro.core.relations.RelationDB.frame_index`) instead of
@@ -44,22 +53,29 @@ exists iff faulty differs from good), so frame states are pure
 functions of the assignments and compare with ``==``.
 
 Flat circuit structure (fanin tuples, topo positions, per-node
-combinational fanouts, FF data pairs) is lowered once per circuit --
-reusing :func:`repro.sim.compiled.compile_circuit`'s cached lowering --
-and shared by every engine instance via a fingerprint-keyed cache;
-fault cones ride on the circuit-level ``transitive_fanout`` memo.
+combinational fanouts, FF data pairs, the frame kernel) is lowered once
+per circuit -- reusing :func:`repro.sim.compiled.compile_circuit`'s
+cached lowering -- and shared by every engine instance via a
+fingerprint-keyed, lock-guarded cache; only circuits PODEM runs on pay
+for the kernel.  Fault cones ride on the circuit-level
+``transitive_fanout`` memo.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..circuit.gates import X, eval_gate, inv
 from ..circuit.netlist import Circuit
 from ..core.relations import RelationDB
-from ..sim.compiled import compile_circuit
+from ..sim.compiled import (
+    CompiledFaultSimulator,
+    compile_circuit,
+    compile_frame_kernel,
+)
 from .engine import SequentialATPG, _faulty_value, _good_value
 from .faults import Fault, fault_site_source
 
@@ -68,7 +84,8 @@ class _CircuitIndex:
     """Flat per-circuit structure shared by every incremental engine."""
 
     __slots__ = ("circuit", "n", "gtype", "fanins", "comb_fanouts",
-                 "topo_pos", "ff_pairs", "inputs", "outputs", "is_comb")
+                 "topo_pos", "ff_pairs", "inputs", "outputs", "is_comb",
+                 "frame_kernel")
 
     def __init__(self, circuit: Circuit):
         cc = compile_circuit(circuit)  # cached opcode/fanin lowering
@@ -95,24 +112,36 @@ class _CircuitIndex:
         self.inputs = cc.inputs
         self.outputs = frozenset(cc.outputs)
         self.is_comb: List[bool] = [n.is_combinational for n in nodes]
+        #: Fresh-frame good/faulty evaluation (see ``_eval_fresh_frame``);
+        #: compiled here rather than with the simulator kernels so that
+        #: only circuits PODEM actually runs on pay for it.
+        self.frame_kernel = compile_frame_kernel(cc.schedule)
 
 
 _INDEX_CACHE: "OrderedDict[str, _CircuitIndex]" = OrderedDict()
 _INDEX_CAP = 128
+#: Serializes the LRU: ``repro serve`` runs PODEM from concurrent
+#: request threads, and a miss exec-compiles the frame kernel.
+_INDEX_LOCK = threading.Lock()
 
 
 def circuit_index(circuit: Circuit) -> _CircuitIndex:
-    """Lower (or fetch) the flat index, keyed on the fingerprint."""
+    """Lower (or fetch) the flat index, keyed on the fingerprint.
+
+    Thread-safe like :func:`repro.sim.compiled.compile_circuit`:
+    concurrent callers for one circuit build its index exactly once.
+    """
     key = circuit.fingerprint()
-    hit = _INDEX_CACHE.get(key)
-    if hit is not None:
-        _INDEX_CACHE.move_to_end(key)
-        return hit
-    idx = _CircuitIndex(circuit)
-    _INDEX_CACHE[key] = idx
-    while len(_INDEX_CACHE) > _INDEX_CAP:
-        _INDEX_CACHE.popitem(last=False)
-    return idx
+    with _INDEX_LOCK:
+        hit = _INDEX_CACHE.get(key)
+        if hit is not None:
+            _INDEX_CACHE.move_to_end(key)
+            return hit
+        idx = _CircuitIndex(circuit)
+        _INDEX_CACHE[key] = idx
+        while len(_INDEX_CACHE) > _INDEX_CAP:
+            _INDEX_CACHE.popitem(last=False)
+        return idx
 
 
 class _IncWindow:
@@ -179,6 +208,12 @@ class IncrementalATPG(SequentialATPG):
         self._state_fault: Optional[Fault] = None
         self._assignments: Dict[Tuple[int, int], int] = {}
         self._trail: List[_TrailEntry] = []
+        #: Fault origin -> its cone's gates in topological order.
+        self._cone_gates_cache: Dict[int, Tuple[int, ...]] = {}
+        #: frame -> (its implication buckets, their antecedent node ids
+        #: ascending); rebuilt if the relation database changes them.
+        self._antecedents: Dict[int, Tuple[dict, Tuple[int, ...]]] = {}
+        self._refuter: Optional[CompiledFaultSimulator] = None
 
     # ------------------------------------------------------------------
     # shared-structure overrides
@@ -186,6 +221,13 @@ class IncrementalATPG(SequentialATPG):
     def _implications_at(self, nid: int, value: int,
                          frame: int) -> Sequence[Tuple[int, int]]:
         return self.relations.frame_index(frame).get((nid, value), ())
+
+    def _detects(self, sequence: List[Dict[str, int]],
+                 fault: Fault) -> bool:
+        """Refutation probe on the compiled fault simulator."""
+        if self._refuter is None:
+            self._refuter = CompiledFaultSimulator(self.circuit, width=1)
+        return bool(self._refuter.detected(sequence, [fault]))
 
     # ------------------------------------------------------------------
     # PODEM core: identical control flow, incremental state
@@ -283,13 +325,60 @@ class IncrementalATPG(SequentialATPG):
                 if fault.pin is not None and fid == fault.node:
                     fv[fid] = fault.value
         self._force_site(fault, gv, fv)
-        self._eval_frame(fault, frame, state, cone)
+        self._eval_fresh_frame(fault, gv, fv)
         if self.mode != "none":
             if self.mode == "known":
                 self._apply_known(fault, frame, state, cone)
             else:
                 self._apply_forbidden(frame, state)
         self._refresh_dset(state, frame)
+
+    def _eval_fresh_frame(self, fault: Fault, gv: List[int],
+                          fv: Dict[int, int]) -> None:
+        """:meth:`SequentialATPG._eval_frame` of a fresh frame, compiled.
+
+        Precondition: every gate of the frame is still X (sources, FF
+        captures and the site forcing are in place) -- true of every
+        frame :meth:`_compute_frame` builds, and what lets the kernel
+        assign values instead of merging them.  The kernel computes the
+        good plane and a full faulty list (fault site patched in place);
+        the faulty plane is then canonicalized over the fault cone in
+        topological order, exactly as the reference does.
+        """
+        fl = list(gv)
+        for nid, value in fv.items():
+            fl[nid] = value
+        self._idx.frame_kernel(gv, fl, fault.node, self._site_fix(fault))
+        for nid in self._cone_gates(fault):
+            value = fl[nid]
+            if value != gv[nid]:
+                fv[nid] = value
+            elif nid in fv:
+                del fv[nid]
+
+    def _site_fix(self, fault: Fault):
+        """The kernel's ``fix``: faulty value of the faulted gate."""
+        value = fault.value
+        if fault.pin is None:
+            return lambda *_fanins: value
+        gtype = self._idx.gtype[fault.node]
+        pin = fault.pin
+
+        def fix(*fanins: int) -> int:
+            values = list(fanins)
+            values[pin] = value
+            return eval_gate(gtype, values)
+        return fix
+
+    def _cone_gates(self, fault: Fault) -> Tuple[int, ...]:
+        """Gates of the fault cone in topological order (memoized)."""
+        gates = self._cone_gates_cache.get(fault.node)
+        if gates is None:
+            cone = self._fault_cone(fault)
+            gates = tuple(nid for nid in self.circuit.topo_order
+                          if nid in cone)
+            self._cone_gates_cache[fault.node] = gates
+        return gates
 
     def _refresh_dset(self, state: _IncWindow, frame: int) -> None:
         """Rebuild one frame's D-set from its canonical faulty plane."""
@@ -479,8 +568,8 @@ class IncrementalATPG(SequentialATPG):
         """Rebuild frames ``start..`` until the FF boundary is stable.
 
         The learned-implication fixpoints are round-bounded, so replaying
-        them on partial deltas is unsound; each affected frame runs the
-        exact reference frame body instead.  Frames whose predecessor
+        them on partial deltas is unsound; each affected frame is
+        recomputed from scratch instead.  Frames whose predecessor
         boundary (FF data good/faulty/forbidden triple) is unchanged are
         provably identical and are left untouched.
         """
@@ -535,10 +624,11 @@ class IncrementalATPG(SequentialATPG):
         fv = state.fv[frame]
         bucket_get = buckets.get
         is_comb = self._idx.is_comb
+        antecedents = self._antecedents_at(frame)
         for _round in range(6):
             changed = False
             forced: List[int] = []
-            for nid in range(self._n):
+            for nid in antecedents:
                 value = gv[nid]
                 if value == X:
                     continue
@@ -561,18 +651,82 @@ class IncrementalATPG(SequentialATPG):
                 fault, state, frame, forced,
                 self_seeds=[m for m in forced if is_comb[m]])
 
-    def _apply_forbidden(self, frame: int, state: _IncWindow) -> None:
-        """Reference shadow fixpoint, skipped when provably inert.
+    def _antecedents_at(self, frame: int) -> Tuple[int, ...]:
+        """Node ids with an implication valid at ``frame``, ascending.
 
-        With no implication valid at this frame and no shadow state to
-        transfer, the reference pass cannot mark anything (the forward
-        propagation of an empty shadow plane reproduces the good values
-        exactly), so the whole frame scan is skipped.
+        Scanning these instead of every node keeps the reference's
+        application order: a node contributes one bucket (the one of its
+        current value), and nodes are visited by id.
         """
-        if not self.relations.frame_index(frame) and (
-                frame == 0 or not state.forb[frame - 1]):
+        buckets = self.relations.frame_index(frame)
+        memo = self._antecedents.get(frame)
+        if memo is None or memo[0] is not buckets:
+            memo = (buckets, tuple(sorted({nid for nid, _value
+                                           in buckets})))
+            self._antecedents[frame] = memo
+        return memo[1]
+
+    def _apply_forbidden(self, frame: int, state: _IncWindow) -> None:
+        """Reference shadow marking with a one-pass forward propagation.
+
+        Seeding and the FF transfer match
+        :meth:`SequentialATPG._apply_forbidden` step for step.  Its
+        forward loop then repeats a topological pass up to four times,
+        but forbidden values only grow from X and a frame's logic is
+        acyclic, so every gate already sees its fanins' final shadow
+        values in the first pass and later passes mark nothing; one pass
+        over a flat shadow list gives the same plane.  With nothing
+        seeded or transferred the pass cannot mark anything (the shadow
+        equals the good plane) and is skipped.
+        """
+        gv = state.gv[frame]
+        forb = state.forb[frame]
+        buckets = self.relations.frame_index(frame)
+        if buckets:
+            bucket_get = buckets.get
+            for nid in self._antecedents_at(frame):
+                value = gv[nid]
+                if value == X:
+                    continue
+                implications = bucket_get((nid, value))
+                if implications is None:
+                    continue
+                for m, u in implications:
+                    if gv[m] != X:
+                        if gv[m] != u:
+                            state.conflict = True
+                            return
+                        continue
+                    banned = inv(u)
+                    if forb.get(m, banned) != banned:
+                        state.conflict = True  # both values forbidden
+                        return
+                    forb[m] = banned
+        if frame > 0:
+            prev_forb = state.forb[frame - 1]
+            if prev_forb:
+                prev_gv = state.gv[frame - 1]
+                for fid, data in self._idx.ff_pairs:
+                    if gv[fid] != X or prev_gv[data] != X:
+                        continue
+                    banned = prev_forb.get(data)
+                    if banned is not None and fid not in forb:
+                        forb[fid] = banned
+        if not forb:
             return
-        super()._apply_forbidden(frame, state)
+        # Shadow plane: good value, else the complement of the banned one.
+        shadow = list(gv)
+        for nid, banned in forb.items():
+            shadow[nid] = inv(banned)
+        gtype = self._idx.gtype
+        fanins = self._idx.fanins
+        for nid in self.circuit.topo_order:
+            if shadow[nid] != X:
+                continue
+            out = _good_value(gtype[nid], fanins[nid], shadow)
+            if out != X:
+                forb[nid] = inv(out)
+                shadow[nid] = out
 
     # ------------------------------------------------------------------
     # search guidance over maintained D-sets

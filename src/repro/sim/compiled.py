@@ -21,6 +21,11 @@ Two evaluators ride on the lowered form:
   fault dropping, detection-set compatible with
   :class:`repro.sim.faultsim.FaultSimulator`.
 
+A third generator, :func:`compile_frame_kernel`, emits the incremental
+PODEM engine's scalar three-valued frame evaluation; that engine
+compiles it on demand, so simulator lowering and :func:`warm_cache`
+never pay for it.
+
 The reference implementations stay in :mod:`repro.sim.parallel` /
 :mod:`repro.sim.faultsim`; the differential test harness pits the two
 against each other (``tests/test_backend_differential.py``).
@@ -42,7 +47,7 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..circuit.gates import GateType, ONE, X, ZERO
+from ..circuit.gates import GateType, ONE, X, ZERO, eval_gate
 from ..circuit.netlist import Circuit
 from .faultsim import FaultSimulator
 
@@ -140,6 +145,104 @@ def _plane_lines(op: int, nid: int, fis: Tuple[int, ...]) -> List[str]:
     if op == OP_TIE1:
         return [f" a{nid} = 0", f" b{nid} = full"]
     raise AssertionError(op)
+
+
+def _table2(gate_type: GateType) -> Tuple[Tuple[int, ...], ...]:
+    """Three-valued truth table ``t[a][b]`` of a two-input gate."""
+    return tuple(tuple(eval_gate(gate_type, (a, b)) for b in (ZERO, ONE, X))
+                 for a in (ZERO, ONE, X))
+
+
+#: Three-valued lookup tables of the frame kernels, bound as default
+#: arguments (so the generated code reads them with LOAD_FAST).  An
+#: n-input gate chains the associative base table over its first n-1
+#: fanins and applies the gate's own table to the last one.
+_FRAME_TABLES = {
+    "A": _table2(GateType.AND), "NA": _table2(GateType.NAND),
+    "O": _table2(GateType.OR), "NO": _table2(GateType.NOR),
+    "XO": _table2(GateType.XOR), "XN": _table2(GateType.XNOR),
+    "N": tuple(eval_gate(GateType.NOT, (v,)) for v in (ZERO, ONE, X)),
+}
+
+#: opcode -> (base table, final table) of the chained n-input form.
+_FRAME_CHAIN = {
+    OP_AND: ("A", "A"), OP_NAND: ("A", "NA"),
+    OP_OR: ("O", "O"), OP_NOR: ("O", "NO"),
+    OP_XOR: ("XO", "XO"), OP_XNOR: ("XO", "XN"),
+}
+
+
+def _frame_expr(op: int, fis: Tuple[int, ...], plane: str) -> str:
+    """Three-valued value of one gate over plane ``plane`` (locals)."""
+    if op == OP_TIE0:
+        return str(ZERO)
+    if op == OP_TIE1:
+        return str(ONE)
+    if op == OP_BUF:
+        return f"{plane}{fis[0]}"
+    if op == OP_NOT:
+        return f"N[{plane}{fis[0]}]"
+    base, final = _FRAME_CHAIN[op]
+    if len(fis) == 1:  # one-input AND/OR/XOR is a buffer, its dual NOT
+        return f"{plane}{fis[0]}" if base == final else f"N[{plane}{fis[0]}]"
+    expr = f"{plane}{fis[0]}"
+    for f in fis[1:-1]:
+        expr = f"{base}[{expr}][{plane}{f}]"
+    return f"{final}[{expr}][{plane}{fis[-1]}]"
+
+
+def _frame_lines(op: int, nid: int, fis: Tuple[int, ...]) -> List[str]:
+    """Statements computing the good and faulty value of one gate.
+
+    The good value lands in ``gv``, the faulty one in ``fl``; at the
+    fault site (``site == nid``) the faulty value is replaced by
+    ``fix(*faulty fanin values)``.
+    """
+    fanin_args = ", ".join(f"f{f}" for f in fis)
+    return [f" gv[{nid}] = g{nid} = {_frame_expr(op, fis, 'g')}",
+            f" fl[{nid}] = f{nid} = fix({fanin_args}) if site == {nid} "
+            f"else {_frame_expr(op, fis, 'f')}"]
+
+
+def compile_frame_kernel(schedule) -> Callable:
+    """exec a straight-line three-valued kernel over the gate schedule.
+
+    The returned ``kernel(gv, fl, site, fix)`` evaluates every gate of
+    one time frame on two full-length value lists: ``gv`` (good machine)
+    and ``fl`` (faulty machine), both preloaded with PI/FF values (0, 1
+    or X).  Gate values are *assigned*, never merged, so the caller must
+    hand in fresh frames whose gates are all X -- the precondition under
+    which this equals a levelized re-evaluation.  ``fix`` patches the
+    faulty value of gate ``site`` mid-schedule (pass a non-gate id, e.g.
+    -1, for none).  Long schedules are split into ``_CHUNK_GATES``
+    functions like the other kernels.
+    """
+    params = ", ".join(f"{name}={name}" for name in _FRAME_TABLES)
+    kernels: List[Callable] = []
+    for start in range(0, len(schedule), _CHUNK_GATES):
+        chunk = schedule[start:start + _CHUNK_GATES]
+        computed = {nid for _op, nid, _f in chunk}
+        reads = {f for _op, _nid, fis in chunk for f in fis}
+        name = f"_frame_kernel_{start}"
+        lines = [f"def {name}(gv, fl, site, fix, {params}):"]
+        for nid in sorted(reads - computed):
+            lines.append(f" g{nid} = gv[{nid}]; f{nid} = fl[{nid}]")
+        for op, nid, fis in chunk:
+            lines.extend(_frame_lines(op, nid, fis))
+        if len(lines) == 1:
+            lines.append(" pass")
+        namespace: Dict[str, object] = dict(_FRAME_TABLES)
+        exec(compile("\n".join(lines), "<repro.sim.compiled:frame>",
+                     "exec"), namespace)
+        kernels.append(namespace[name])
+    if len(kernels) == 1:
+        return kernels[0]
+
+    def kernel(gv, fl, site, fix):
+        for part in kernels:
+            part(gv, fl, site, fix)
+
+    return kernel
 
 
 def _compile_pattern_kernels(schedule) -> List[Callable]:
