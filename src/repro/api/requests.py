@@ -65,7 +65,9 @@ __all__ = [
 #: ``request_id``) to every kind; they steer admission control and
 #: cancellation in :mod:`repro.serve` and are excluded from config
 #: digests, so cache keys and canonical results are unchanged.
-SCHEMA_VERSION = 5
+#: Version 6 removed the ``array`` value of ``config.atpg.sim_backend``;
+#: a request naming it is now a ``config`` error.
+SCHEMA_VERSION = 6
 
 #: Admission classes the serve tier schedules between; earlier names
 #: win ties (``interactive`` outranks ``batch``).

@@ -154,8 +154,8 @@ def run_atpg(circuit: Circuit, *,
     generated vectors after fault simulation (suite runs over large
     circuits would otherwise hold every test in memory);
     :attr:`ATPGStats.sequences_total` counts them either way.
-    ``sim_backend`` picks the fault-dropping simulator ('compiled',
-    'array' or 'reference') and ``sim_width`` its machine-batch width
+    ``sim_backend`` picks the fault-dropping simulator ('compiled' or
+    'reference') and ``sim_width`` its machine-batch width
     (``None`` = backend default; packing never changes a detection
     set); ``atpg_engine`` picks the PODEM engine
     ('incremental' or 'reference', see
@@ -215,10 +215,8 @@ def run_atpg(circuit: Circuit, *,
         status[index] = "untestable"
     remaining: List[int] = [i for i in range(len(faults))
                             if i not in status]
-    # One resident dropper serves the whole loop: the array backend
-    # keeps its fault batches (and injection plans) alive across every
-    # generated sequence, compacting dropped columns in place instead
-    # of re-slicing + re-planning the shrinking subset per call.
+    # One dropper serves the whole loop, retiring each fault once it
+    # is decided (targeted or dropped).
     dropper = make_resident_dropper(circuit, faults, remaining,
                                     backend=sim_backend,
                                     width=sim_width)

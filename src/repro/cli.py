@@ -301,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", default="compiled",
                        choices=SIM_BACKENDS,
                        help="simulation backend (compiled straight-line "
-                            "kernels, vectorized array kernels, or the "
-                            "reference interpreters; identical results)")
+                            "kernels or the reference interpreters; "
+                            "identical results)")
 
     p = sub.add_parser("list", help="list built-in circuits")
     add_json(p)

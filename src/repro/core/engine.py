@@ -64,14 +64,13 @@ class LearnConfig:
     seed: int = 20260611
     #: Width of the random-pattern signatures behind equivalence
     #: candidate identification.  ``None`` keeps
-    #: :attr:`equivalence_width` (the historical 256); e.g. 4096 runs
-    #: learning signatures at array word widths.  Part of the learned
-    #: config digest: a different width can bucket different candidate
-    #: pairs (results across *backends* are bit-identical at any fixed
-    #: width).
+    #: :attr:`equivalence_width` (the historical 256).  Part of the
+    #: learned config digest: a different width can bucket different
+    #: candidate pairs (results across *backends* are bit-identical at
+    #: any fixed width).
     signature_width: Optional[int] = None
     #: Machine-batch width of the batched single-node learning runs
-    #: (``None`` = the sim backend's default).  A pure packing knob:
+    #: (``None`` = 128 machines per batch).  A pure packing knob:
     #: machines are independent bit columns, so learned data never
     #: depends on it.
     single_node_batch_width: Optional[int] = None
@@ -180,7 +179,7 @@ class SequentialLearner:
 
     ``sim_backend`` selects the pattern simulator behind equivalence
     signatures and the plane evaluator behind batched single-node runs
-    ('reference', 'compiled' or 'array', see :mod:`repro.sim.compiled`);
+    ('reference' or 'compiled', see :mod:`repro.sim.compiled`);
     learned knowledge is bit-identical for every backend at a fixed
     signature width.
     """

@@ -23,15 +23,8 @@ Two execution paths produce identical :class:`SingleNodeData`:
   tie constants -- the only way an injection can conflict -- falls back
   to the reference path so conflict results stay byte-identical.
 
-The batched path itself has two interchangeable plane evaluators: the
-compiled straight-line bigint kernels
-(:func:`repro.sim.compiled.compile_circuit`, the default) and -- for
-``backend='array'`` with numpy installed -- the grouped array kernels
-of :mod:`repro.sim.array_backend` via :class:`_ArrayPlaneEval`, which
-pack the same machines into 64-bit word matrices and evaluate whole
-opcode groups per call.  Both compute every node of every machine, so
-the frame dicts they produce are bit-identical; the shared extraction /
-stop-rule / FF-boundary loop never knows which one ran.
+The batched path evaluates each frame's planes with the compiled
+straight-line bigint kernels (:func:`repro.sim.compiled.compile_circuit`).
 
 To keep downstream iteration order independent of the path taken, every
 per-frame value dict is normalized to ascending node id before it is
@@ -41,7 +34,7 @@ stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..circuit.gates import ONE, ZERO, inv
 from ..circuit.netlist import Circuit
@@ -102,12 +95,10 @@ def run_single_node(simulator: FrameSimulator,
     (ties/equivalences from earlier phases couple values in ways the
     packed evaluator does not model); ``True``/``False`` force the
     choice -- forcing ``True`` still routes coupled simulators through
-    the reference path.  ``backend`` picks the batched plane evaluator:
-    'compiled' (straight-line bigint kernels) or 'array' (grouped
-    numpy word-matrix kernels; falls back to compiled kernels when
-    numpy is absent); 'reference' disables batching entirely.
-    ``batch_width`` is the machine count per batch (``None`` = backend
-    default: 128 compiled, 4096 array).  A pure packing /
+    the reference path.  ``backend='reference'`` disables batching
+    entirely; 'compiled' runs the batches on the compiled kernels.
+    ``batch_width`` is the machine count per batch (``None`` =
+    :data:`DEFAULT_COMPILED_BATCH`).  A pure packing /
     evaluation-strategy knob: results are identical for every
     combination.
     """
@@ -129,7 +120,7 @@ def run_single_node(simulator: FrameSimulator,
         live = [s for s in stems if s not in constants]
         if live:
             runs = _batched_runs(simulator, live, max_frames,
-                                 batch_width, backend=backend)
+                                 batch_width)
     for stem in stems:
         if stem in constants:
             data.skipped_stems.append(stem)
@@ -153,8 +144,7 @@ def run_single_node(simulator: FrameSimulator,
 # batched injections over the compiled two-plane evaluator
 # ----------------------------------------------------------------------
 def _batched_runs(simulator: FrameSimulator, stems: List[int],
-                  max_frames: int, width: Optional[int] = None,
-                  backend: str = "compiled"
+                  max_frames: int, width: Optional[int] = None
                   ) -> Dict[Tuple[int, int], InjectionResult]:
     """Simulate both injections of many stems bit-parallel.
 
@@ -164,21 +154,9 @@ def _batched_runs(simulator: FrameSimulator, stems: List[int],
     for the opposite injection -- that injection conflicts mid-
     propagation in the event simulator, and the caller's reference
     fallback reproduces the partial conflict run exactly.
-
-    ``backend='array'`` swaps the per-frame plane evaluator for the
-    grouped numpy kernels (when numpy is installed) and widens
-    the default batch to the array word width; everything around the
-    evaluation -- packing, extraction, stop rules -- is shared verbatim.
     """
     circuit = simulator.circuit
     cc = compile_circuit(circuit)
-    plane_eval = None
-    if backend == "array":
-        from ..sim.array_backend import DEFAULT_NUMPY_WIDTH, HAVE_NUMPY
-        if HAVE_NUMPY:
-            plane_eval = _ArrayPlaneEval(circuit)
-            if width is None:
-                width = DEFAULT_NUMPY_WIDTH
     if width is None:
         width = DEFAULT_COMPILED_BATCH
     # Frame-0 values derivable with no injection at all (tie cones):
@@ -201,94 +179,12 @@ def _batched_runs(simulator: FrameSimulator, stems: List[int],
     out: Dict[Tuple[int, int], InjectionResult] = {}
     for start in range(0, len(pairs), width):
         out.update(_run_batch(cc, pairs[start:start + width],
-                              max_frames, ff_allow, plane_eval))
+                              max_frames, ff_allow))
     return out
 
 
-class _ArrayPlaneEval:
-    """Grouped array-kernel frame evaluator for :func:`_run_batch`.
-
-    Callable drop-in for ``cc.eval_planes(..., trace=True)``: reads the
-    source rows out of the caller's bigint plane lists, evaluates every
-    level through :func:`repro.sim.array_backend._eval_group` on
-    word matrices, and writes all scheduled gate rows back -- exactly
-    the set of nodes the traced compiled kernels store.  Frame-0 gate
-    injections arrive as ``gate_zero``/``gate_one`` column masks and
-    are spliced onto the injected gate's row right after its level
-    evaluates (consumers always sit at strictly higher levels, so this
-    matches the compiled ``fix`` patch point bit for bit).
-
-    Owned by one ``_batched_runs`` call on one thread; fresh matrices
-    per frame keep it trivially stale-free.
-    """
-
-    def __init__(self, circuit: Circuit):
-        from ..sim import array_backend as _ab
-        self._ab = _ab
-        self.cc = compile_circuit(circuit)
-        self.ac = _ab.array_form(circuit)
-        np = _ab._np
-        self.gate_rows = np.asarray(self.cc.gate_nids, dtype=np.intp)
-
-    def __call__(self, m0: List[int], m1: List[int], full: int,
-                 gate_zero: Optional[Dict[int, int]] = None,
-                 gate_one: Optional[Dict[int, int]] = None) -> None:
-        ab = self._ab
-        np = ab._np
-        cc, ac = self.cc, self.ac
-        words = (full.bit_length() + 63) >> 6
-        fullw = ab._int_to_words(full, words)
-        M0 = np.zeros((ac.rows, words), dtype=np.uint64)
-        M1 = np.zeros((ac.rows, words), dtype=np.uint64)
-        M0[ac.zero_row] = fullw
-        M1[ac.one_row] = fullw
-        for nid in ac.tie0:
-            M0[nid] = fullw
-        for nid in ac.tie1:
-            M1[nid] = fullw
-        for nid in cc.inputs:
-            if m0[nid]:
-                M0[nid] = ab._int_to_words(m0[nid], words)
-            if m1[nid]:
-                M1[nid] = ab._int_to_words(m1[nid], words)
-        for nid in cc.ffs:
-            if m0[nid]:
-                M0[nid] = ab._int_to_words(m0[nid], words)
-            if m1[nid]:
-                M1[nid] = ab._int_to_words(m1[nid], words)
-        splices: Dict[int, List] = {}
-        if gate_zero or gate_one:
-            for nid in set(gate_zero or ()) | set(gate_one or ()):
-                z = (gate_zero or {}).get(nid, 0)
-                o = (gate_one or {}).get(nid, 0)
-                K = ab._int_to_words(full & ~(z | o), words)
-                Z = ab._int_to_words(z, words)
-                O = ab._int_to_words(o, words)
-                if nid in ac.gate_pos:
-                    li = ac.gate_pos[nid][0]
-                    splices.setdefault(li, []).append((nid, K, Z, O))
-                else:  # tie gate: splice before anything reads it
-                    M0[nid] = (M0[nid] & K) | Z
-                    M1[nid] = (M1[nid] & K) | O
-        for li, groups in enumerate(ac.levels):
-            for g in groups:
-                ab._eval_group(g, M0, M1)
-            for nid, K, Z, O in splices.get(li, ()):
-                M0[nid] = (M0[nid] & K) | Z
-                M1[nid] = (M1[nid] & K) | O
-        wb = words * 8
-        raw0 = memoryview(
-            M0[self.gate_rows].astype("<u8", copy=False).tobytes())
-        raw1 = memoryview(
-            M1[self.gate_rows].astype("<u8", copy=False).tobytes())
-        for k, nid in enumerate(cc.gate_nids):
-            m0[nid] = int.from_bytes(raw0[k * wb:(k + 1) * wb], "little")
-            m1[nid] = int.from_bytes(raw1[k * wb:(k + 1) * wb], "little")
-
-
 def _run_batch(cc, batch: List[Tuple[int, int]], max_frames: int,
-               ff_allow: List[Tuple[bool, bool]],
-               plane_eval: Optional[_ArrayPlaneEval] = None
+               ff_allow: List[Tuple[bool, bool]]
                ) -> Dict[Tuple[int, int], InjectionResult]:
     n = cc.n
     k = len(batch)
@@ -333,12 +229,7 @@ def _run_batch(cc, batch: List[Tuple[int, int]], max_frames: int,
                 m0[nid] |= bits
             for nid, bits in src_one.items():
                 m1[nid] |= bits
-            if plane_eval is not None:
-                plane_eval(m0, m1, full, gate_zero, gate_one)
-            else:
-                cc.eval_planes(m0, m1, full, hot, fix, trace=True)
-        elif plane_eval is not None:
-            plane_eval(m0, m1, full)
+            cc.eval_planes(m0, m1, full, hot, fix, trace=True)
         else:
             cc.eval_planes(m0, m1, full, trace=True)
         # Extract this frame's known values per still-active machine

@@ -7,8 +7,8 @@ on :func:`repro.atpg.run_atpg` / :func:`repro.atpg.compare_modes`;
 :class:`~repro.flow.session.PipelineSession` (or a config file) can
 carry.  All three round-trip through plain dicts --
 ``json.dumps(cfg.to_dict())`` is the canonical on-disk form -- and
-reject unknown keys on the way back in so a typo in a config file fails
-loudly instead of being ignored.
+reject unknown keys and mistyped values on the way back in so a typo in
+a config file fails loudly instead of being ignored.
 """
 
 from __future__ import annotations
@@ -16,8 +16,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
-from typing import Dict, Optional
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import (
+    Dict,
+    Optional,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from ..atpg.engine import ATPG_ENGINES
 from ..core.engine import LearnConfig
@@ -65,10 +72,43 @@ def _digest(prefix: str, payload) -> str:
         f"{prefix}:{canonical_json(payload)}".encode()).hexdigest()
 
 
+def _type_ok(value, hint) -> bool:
+    """``isinstance`` against a field annotation; a bool is no int."""
+    if get_origin(hint) is Union:
+        return any(_type_ok(value, arg) for arg in get_args(hint))
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def _type_name(hint) -> str:
+    if get_origin(hint) is Union:
+        return " or ".join(_type_name(arg) for arg in get_args(hint))
+    if hint is type(None):
+        return "null"
+    return "an object" if is_dataclass(hint) else hint.__name__
+
+
+def _check_types(config) -> None:
+    """Raise :class:`ConfigError` naming the first field whose value
+    does not match its annotation (``Optional[...]`` admits ``None``),
+    so a mistyped value fails validation rather than as a ``TypeError``
+    deep inside the engine."""
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not _type_ok(value, hints[f.name]):
+            raise ConfigError(
+                f"{type(config).__name__}.{f.name} must be "
+                f"{_type_name(hints[f.name])}, got {value!r}")
+
+
 def _from_dict(cls, data: Dict[str, object]):
     """Shared strict dict -> dataclass constructor."""
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    if not isinstance(data, dict):
+        raise ConfigError(f"{cls.__name__} must be an object, "
+                          f"got {data!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(
             f"unknown {cls.__name__} keys: {sorted(unknown)}")
@@ -94,15 +134,13 @@ class ATPGConfig:
     #: every vector in memory; ``sequences_total`` is counted either way.
     keep_sequences: bool = False
     #: Simulation backend for fault simulation and learning signatures:
-    #: 'compiled' (straight-line kernels, the default), 'array'
-    #: (whole-circuit numpy kernels with the ``repro[fast]`` extra,
-    #: the compiled kernels without it) or 'reference'
+    #: 'compiled' (straight-line kernels, the default) or 'reference'
     #: (the original interpreters).  Results are bit-identical; the
     #: reference backend exists for differential testing and debugging.
     sim_backend: str = "compiled"
     #: Machine-batch width of the fault-dropping simulator (one fault
-    #: machine per bit column; ``None`` = the backend's default, e.g.
-    #: 4096 on the array backend).  A pure packing knob:
+    #: machine per bit column; ``None`` = the simulator's default of
+    #: 128).  A pure packing knob:
     #: detection sets -- and therefore every statistic -- never depend
     #: on it, which the differential harness enforces.
     sim_width: Optional[int] = None
@@ -114,7 +152,8 @@ class ATPGConfig:
     atpg_engine: str = "incremental"
 
     def validate(self) -> "ATPGConfig":
-        """Raise :class:`ConfigError` on out-of-range values."""
+        """Raise :class:`ConfigError` on mistyped or out-of-range values."""
+        _check_types(self)
         if self.mode not in ATPG_MODES:
             raise ConfigError(
                 f"mode must be one of {ATPG_MODES}, got {self.mode!r}")
@@ -174,11 +213,10 @@ class ReproConfig:
     jobs: int = 1
 
     def validate(self) -> "ReproConfig":
+        _check_types(self)
+        _check_types(self.learn)
         if self.retime < 0:
             raise ConfigError("retime must be >= 0")
-        if not isinstance(self.jobs, int) or isinstance(self.jobs, bool):
-            raise ConfigError(
-                f"jobs must be an int, got {self.jobs!r}")
         if self.jobs < 0:
             raise ConfigError(
                 f"jobs must be >= 0 (0 = all CPU cores), got {self.jobs}")
@@ -213,24 +251,14 @@ class ReproConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ReproConfig":
-        data = dict(data)
-        unknown = set(data) - {"learn", "atpg", "retime", "jobs"}
-        if unknown:
-            raise ConfigError(
-                f"unknown ReproConfig keys: {sorted(unknown)}")
-        learn = data.get("learn", {})
-        atpg = data.get("atpg", {})
-        if not isinstance(learn, LearnConfig):
-            try:
-                learn = LearnConfig.from_dict(learn)
-            except ValueError as exc:
-                # LearnConfig lives in core and raises plain ValueError;
-                # normalize so callers can catch ConfigError for any typo.
-                raise ConfigError(str(exc)) from exc
-        return cls(
-            learn=learn,
-            atpg=(atpg if isinstance(atpg, ATPGConfig)
-                  else ATPGConfig.from_dict(atpg)),
-            retime=data.get("retime", 0),
-            jobs=data.get("jobs", 1),
-        ).validate()
+        if isinstance(data, dict):
+            data = dict(data)
+            # Nested sections arrive as plain dicts; LearnConfig lives
+            # in core, so it goes through the shared strict constructor
+            # here (a ConfigError) rather than its own from_dict (a
+            # plain ValueError).
+            if isinstance(data.get("learn"), dict):
+                data["learn"] = _from_dict(LearnConfig, data["learn"])
+            if isinstance(data.get("atpg"), dict):
+                data["atpg"] = ATPGConfig.from_dict(data["atpg"])
+        return _from_dict(cls, data).validate()

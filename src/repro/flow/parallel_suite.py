@@ -117,7 +117,7 @@ def run_task(task: SuiteTask,
     try:
         session = PipelineSession(task.spec, config=task.config,
                                   progress=tracker)
-        if task.config.atpg.sim_backend in ("compiled", "array"):
+        if task.config.atpg.sim_backend == "compiled":
             # Compile kernels before the pipeline hot loops rather than
             # inside the first stage that needs them (a pool worker's
             # cache may start empty).

@@ -1,11 +1,5 @@
 """Simulation substrates: event-driven 3-valued, bit-parallel, fault sim."""
 
-from .array_backend import (
-    HAVE_NUMPY,
-    ArrayCircuit,
-    ArrayFaultSimulator,
-    array_form,
-)
 from .compiled import (
     SIM_BACKENDS,
     CompiledCircuit,
@@ -32,11 +26,7 @@ from .parallel import (
     signatures,
     simulate_patterns,
 )
-from .resident import (
-    ArrayResidentDropper,
-    SubsetResidentDropper,
-    make_resident_dropper,
-)
+from .resident import SubsetResidentDropper, make_resident_dropper
 from .values import (
     V0,
     V1,
@@ -48,9 +38,7 @@ from .values import (
 )
 
 __all__ = [
-    "HAVE_NUMPY", "ArrayCircuit", "ArrayFaultSimulator", "array_form",
-    "ArrayResidentDropper", "SubsetResidentDropper",
-    "make_resident_dropper",
+    "SubsetResidentDropper", "make_resident_dropper",
     "SIM_BACKENDS", "CompiledCircuit", "CompiledFaultSimulator",
     "clear_compile_cache", "compile_cache_stats", "compile_circuit",
     "make_fault_simulator",

@@ -52,10 +52,8 @@ from ..circuit.netlist import Circuit
 from .faultsim import FaultSimulator
 
 #: Selectable simulation backends (`ATPGConfig.sim_backend`, CLI
-#: ``--backend``).  "array" lives in :mod:`repro.sim.array_backend`
-#: (whole-circuit numpy kernels with the ``repro[fast]`` extra; the
-#: factories resolve it to "compiled" without numpy).
-SIM_BACKENDS = ("reference", "compiled", "array")
+#: ``--backend``): the reference oracle and this module's kernels.
+SIM_BACKENDS = ("reference", "compiled")
 
 #: Integer opcodes of the lowered gate schedule.
 OP_AND, OP_NAND, OP_OR, OP_NOR, OP_NOT, OP_BUF, OP_XOR, OP_XNOR, \
@@ -462,8 +460,7 @@ def warm_cache(circuit: Circuit) -> CompiledCircuit:
     parent had compiled before the pool started.  Workers call this
     once per assigned circuit so compilation happens up front rather
     than inside the first pipeline stage; in an already-warm process it
-    is a cache hit and free.  The array backend lowers from these
-    same kernels.
+    is a cache hit and free.
     """
     return compile_circuit(circuit)
 
@@ -709,18 +706,10 @@ def make_fault_simulator(circuit: Circuit, width: Optional[int] = None,
                          backend: str = "compiled"):
     """Factory over :data:`SIM_BACKENDS`; all share one contract.
 
-    ``width=None`` picks the backend's default batch width (128 for the
-    reference and compiled engines, wide for the array backend).  Safe
-    because detection sets are width-independent: each fault occupies
-    its own machine, so batch packing never changes a verdict.  Without
-    numpy, ``backend='array'`` builds the compiled simulator.
+    ``width=None`` picks the default batch width of 128.  Safe because
+    detection sets are width-independent: each fault occupies its own
+    machine, so batch packing never changes a verdict.
     """
-    if backend == "array":
-        # Imported lazily: array_backend builds on this module.
-        from . import array_backend
-        if array_backend.HAVE_NUMPY:
-            return array_backend.ArrayFaultSimulator(circuit, width=width)
-        backend = "compiled"
     if backend == "compiled":
         return CompiledFaultSimulator(
             circuit, width=128 if width is None else width)

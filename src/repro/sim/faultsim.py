@@ -222,9 +222,7 @@ def fault_coverage(circuit: Circuit,
     """Fraction of ``faults`` detected by any of the ``sequences``.
 
     ``backend='compiled'`` grades through the straight-line kernels of
-    :mod:`repro.sim.compiled`, ``backend='array'`` through the
-    level-vectorized kernels of :mod:`repro.sim.array_backend`;
-    coverage is identical any way.  ``width=None`` takes the backend's
+    :mod:`repro.sim.compiled`; coverage is identical either way.  ``width=None`` takes the backend's
     default batch width (coverage never depends on batch packing).
     """
     from .compiled import make_fault_simulator

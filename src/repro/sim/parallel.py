@@ -80,14 +80,12 @@ def signatures(circuit: Circuit, width: int = 256,
                backend: str = "reference") -> Dict[int, int]:
     """Random-pattern signature of every node (PIs/FFs included).
 
-    ``backend='compiled'`` and ``backend='array'`` evaluate through the
-    straight-line kernels of :mod:`repro.sim.compiled` (the fastest
-    substrate for single-plane patterns at every width); masks are
-    bit-identical either way.
+    ``backend='compiled'`` evaluates through the straight-line kernels
+    of :mod:`repro.sim.compiled`; masks are bit-identical either way.
     """
     rng = rng or random.Random(20260611)
     source = random_source_masks(circuit, width, rng)
-    if backend in ("compiled", "array"):
+    if backend == "compiled":
         from .compiled import compile_circuit
 
         return compile_circuit(circuit).simulate_patterns(source, width)

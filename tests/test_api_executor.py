@@ -187,6 +187,26 @@ def test_config_error_envelope():
     assert response.error["code"] == "config"
 
 
+@pytest.mark.parametrize("atpg", [
+    {"backtrack_limit": "x"},
+    {"sim_width": "wide"},
+    {"max_frames": None},
+    {"max_faults": 2.5},
+    {"sim_width": True},
+    # Schema version 6 removed the 'array' backend.
+    {"sim_backend": "array"},
+], ids=lambda atpg: "-".join(f"{k}={v}" for k, v in atpg.items()))
+def test_malformed_config_value_is_config_error(atpg):
+    """A mistyped or unknown value fails validation as a ``config``
+    error naming the field, never as an ``engine`` error from deep
+    inside the run."""
+    response = execute({"kind": "atpg", "spec": "s27",
+                        "config": {"atpg": atpg}})
+    assert not response.ok
+    assert response.error["code"] == "config"
+    assert next(iter(atpg)) in response.error["message"]
+
+
 def test_stale_artifact_error_envelope(tmp_path):
     artifact = str(tmp_path / "art.json")
     assert execute(LearnRequest(spec="figure1", config=tiny_config(),

@@ -1,11 +1,9 @@
-"""Differential harness: compiled and array backends vs the reference.
+"""Differential harness: the compiled backend vs the reference.
 
 The compiled backend (:mod:`repro.sim.compiled`) re-implements the two
-simulation hot paths with generated straight-line code; the array
-backend (:mod:`repro.sim.array_backend`) lowers them again to
-whole-circuit bitwise operations on numpy word matrices.  Their
-contract is *bit-identical results*, so every case here runs all
-backends on the same input and requires exact equality of
+simulation hot paths with generated straight-line code.  Its contract
+is *bit-identical results*, so every case here runs both backends on
+the same input and requires exact equality of
 
 * packed pattern masks for every node,
 * fault-detection index sets (exercising batching, pin faults, FF
@@ -14,12 +12,8 @@ backends on the same input and requires exact equality of
 
 Cases cover plain random circuits across sizes, retimed circuits and
 multi-clock-domain industrial-like circuits (200+ generated netlists).
-The array backend is built through
-:func:`~repro.sim.compiled.make_fault_simulator`, with batch widths
-cycling through {1, 7, 64, 128, 257} to cross word boundaries (64, 128)
-and partial-word tails (7, 257).  Without numpy the factory resolves
-``array`` to the compiled backend, which
-:func:`test_array_without_numpy_resolves_to_compiled` pins down.
+Batch widths cycle through {1, 7, 64, 128, 257} to cross word
+boundaries (64, 128) and partial-word tails (7, 257).
 """
 
 import random
@@ -30,20 +24,13 @@ import pytest
 from repro.atpg.driver import run_atpg
 from repro.atpg.faults import collapse_faults, full_fault_list
 from repro.circuit import industrial_like, random_circuit, retime_circuit
-from repro.sim import array_backend
-from repro.sim.array_backend import ArrayFaultSimulator
-from repro.sim.compiled import (
-    CompiledFaultSimulator,
-    compile_circuit,
-    make_fault_simulator,
-)
+from repro.sim.compiled import CompiledFaultSimulator, compile_circuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.parallel import random_source_masks, simulate_patterns
-from repro.sim.resident import SubsetResidentDropper, make_resident_dropper
 
-#: Array-backend batch widths, cycled per case so the whole corpus
-#: crosses every boundary class without multiplying its runtime.
-ARRAY_WIDTHS = (1, 7, 64, 128, 257)
+#: Batch widths, cycled per case so the whole corpus crosses every
+#: boundary class without multiplying its runtime.
+WIDTHS = (1, 7, 64, 128, 257)
 
 # ----------------------------------------------------------------------
 # case generation: (kind, seed) -> circuit; 200 cases across shapes
@@ -91,8 +78,7 @@ def test_backends_identical(kind, seed):
     compiled = compile_circuit(circuit)
     rng = random.Random(zlib.crc32(kind.encode()) ^ seed)
 
-    # Packed pattern masks, node for node (the array backend evaluates
-    # patterns through the compiled kernels).
+    # Packed pattern masks, node for node.
     width = 1 + rng.randrange(64)
     source = random_source_masks(circuit, width, rng)
     masks = simulate_patterns(circuit, source, width)
@@ -108,12 +94,11 @@ def test_backends_identical(kind, seed):
     detected = reference.detected(sequence, faults)
     assert fast.detected(sequence, faults) == detected
 
-    # The array backend at its own width ladder -- detection sets are
-    # width-independent, so every rung must reproduce the reference set
-    # exactly, ghost columns and batch tails included.
-    array_width = ARRAY_WIDTHS[seed % len(ARRAY_WIDTHS)]
-    assert make_fault_simulator(
-        circuit, width=array_width, backend="array").detected(
+    # The width ladder -- detection sets are width-independent, so
+    # every rung must reproduce the reference set exactly, ghost
+    # columns and batch tails included.
+    assert CompiledFaultSimulator(
+        circuit, width=WIDTHS[seed % len(WIDTHS)]).detected(
         sequence, faults) == detected
 
 
@@ -128,9 +113,8 @@ def test_backends_identical_uncollapsed(seed):
         sequence, faults)
     assert CompiledFaultSimulator(circuit, width=32).detected(
         sequence, faults) == detected
-    array_width = ARRAY_WIDTHS[seed % len(ARRAY_WIDTHS)]
-    assert make_fault_simulator(
-        circuit, width=array_width, backend="array").detected(
+    assert CompiledFaultSimulator(
+        circuit, width=WIDTHS[seed % len(WIDTHS)]).detected(
         sequence, faults) == detected
 
 
@@ -145,59 +129,13 @@ def _stats_key(stats):
                          + [("retimed", s) for s in range(2)]
                          + [("industrial", s) for s in range(2)])
 def test_atpg_stats_identical(kind, seed):
-    """Whole ATPG runs produce identical statistics on every backend."""
+    """Whole ATPG runs produce identical statistics on both backends,
+    the compiled one at a rung of the width ladder."""
     circuit = _build(kind, seed)
-    rows = {}
-    for backend in ("reference", "compiled", "array"):
-        rows[backend] = run_atpg(
-            circuit, mode="none", backtrack_limit=8, max_frames=4,
-            max_faults=24, keep_sequences=True, sim_backend=backend)
-    assert _stats_key(rows["reference"]) == _stats_key(rows["compiled"])
-    assert _stats_key(rows["reference"]) == _stats_key(rows["array"])
-
-
-def test_numpy_substrates_covered():
-    """The harness above builds the array leg through the factory, so
-    it is only a three-backend proof if that leg really runs the numpy
-    kernels whenever numpy is importable."""
-    sim = make_fault_simulator(_build("random", 0), backend="array")
-    expected = (ArrayFaultSimulator if array_backend.HAVE_NUMPY
-                else CompiledFaultSimulator)
-    assert type(sim) is expected
-
-
-def test_array_without_numpy_resolves_to_compiled(monkeypatch):
-    """With numpy absent, ``backend='array'`` resolves to the compiled
-    backend in the factories: the compiled simulator and the compiled
-    subset dropper, with the reference engine's detection sets and ATPG
-    statistics."""
-    monkeypatch.setattr(array_backend, "HAVE_NUMPY", False)
-    circuit = _build("industrial", 3)
-    faults = collapse_faults(circuit)
-    rng = random.Random(3)
-    sequences = [_sequence(circuit, rng, length=6) for _ in range(4)]
-    reference = FaultSimulator(circuit)
-
-    sim = make_fault_simulator(circuit, backend="array")
-    assert type(sim) is CompiledFaultSimulator
-    for sequence in sequences:
-        assert (sim.detected(sequence, faults)
-                == reference.detected(sequence, faults))
-
-    live = list(range(len(faults)))
-    dropper = make_resident_dropper(circuit, faults, live,
-                                    backend="array")
-    assert type(dropper) is SubsetResidentDropper
-    assert dropper.stats()["backend"] == "compiled"
-    oracle = SubsetResidentDropper(circuit, faults, live,
-                                   backend="reference")
-    for sequence in sequences:
-        assert sorted(dropper.drop(sequence)) == sorted(
-            oracle.drop(sequence))
-
     rows = [run_atpg(circuit, mode="none", backtrack_limit=8,
-                     max_frames=4, max_faults=24, sim_backend=backend)
-            for backend in ("reference", "array")]
+                     max_frames=4, max_faults=24, keep_sequences=True,
+                     sim_backend=backend, sim_width=width)
+            for backend, width in (("reference", None),
+                                   ("compiled",
+                                    WIDTHS[seed % len(WIDTHS)]))]
     assert _stats_key(rows[0]) == _stats_key(rows[1])
-    with pytest.raises(ValueError, match="numpy"):
-        ArrayFaultSimulator(circuit)

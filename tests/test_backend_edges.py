@@ -7,7 +7,6 @@ results and invalid widths fail loudly at construction.
 """
 
 import random
-from functools import partial
 
 import pytest
 
@@ -15,22 +14,15 @@ from repro.atpg.faults import Fault, collapse_faults
 from repro.circuit import random_circuit, s27
 from repro.circuit.gates import ZERO
 from repro.sim import (
-    HAVE_NUMPY,
-    ArrayFaultSimulator,
     CompiledFaultSimulator,
     FaultSimulator,
     fault_coverage,
     make_fault_simulator,
 )
 
-#: Every fault-simulator backend.  The array entry goes through the
-#: factory, which builds the compiled simulator when numpy is absent.
-BACKENDS = (
-    FaultSimulator,
-    CompiledFaultSimulator,
-    partial(make_fault_simulator, backend="array"),
-)
-BACKEND_IDS = ("reference", "compiled", "array")
+#: Every fault-simulator backend.
+BACKENDS = (FaultSimulator, CompiledFaultSimulator)
+BACKEND_IDS = ("reference", "compiled")
 
 
 def _circuit():
@@ -85,12 +77,10 @@ def test_make_fault_simulator_backends():
                       FaultSimulator)
     assert isinstance(make_fault_simulator(circuit, backend="compiled"),
                       CompiledFaultSimulator)
-    assert isinstance(make_fault_simulator(circuit, backend="array"),
-                      ArrayFaultSimulator if HAVE_NUMPY
-                      else CompiledFaultSimulator)
-    # 'numpy' is not a backend: 'array' uses numpy when importable.
-    with pytest.raises(ValueError, match="backend"):
-        make_fault_simulator(circuit, backend="numpy")
+    # Schema version 6 removed the 'array' backend.
+    for name in ("numpy", "array"):
+        with pytest.raises(ValueError, match="backend"):
+            make_fault_simulator(circuit, backend=name)
 
 
 @pytest.mark.parametrize("sim_cls", BACKENDS, ids=BACKEND_IDS)

@@ -74,6 +74,15 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_atpg_rejects_removed_array_backend(capsys):
+    """Schema version 6 removed the 'array' backend; argparse rejects
+    it with its usage-error exit code."""
+    with pytest.raises(SystemExit) as exc:
+        main(["atpg", "s27", "--backend", "array"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_resolve_missing_bench_path_clear_error():
     with pytest.raises(SystemExit, match="cannot read bench file"):
         main(["stats", "/no/such/path.bench"])

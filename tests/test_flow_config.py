@@ -19,6 +19,11 @@ def test_atpg_config_defaults_valid():
     {"max_faults": 0},
     {"sim_width": 0},
     {"sim_width": -4},
+    # Mistyped values: a bool is not an int, None only where Optional.
+    {"backtrack_limit": "x"},
+    {"max_frames": None},
+    {"max_faults": 2.5},
+    {"sim_width": True},
 ])
 def test_atpg_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):

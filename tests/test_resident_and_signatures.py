@@ -5,15 +5,13 @@ Two contracts under test:
 * **Signatures are backend-invariant at any width.**
   :func:`repro.sim.parallel.signatures` must produce byte-identical
   node masks through the reference interpreters and the compiled
-  straight-line kernels (which ``backend='array'`` also runs) at both
-  the historical 256-bit width and the 4096-bit array word width.
+  straight-line kernels at both the historical 256-bit width and a
+  wide 4096-bit one.
 
-* **Resident dropping never changes a detection outcome.**  The
-  :mod:`repro.sim.resident` droppers freeze fault batches and compact
-  dropped columns in place; a dropped fault must never be reported
-  again (no resurrection), and the cumulative hit sets must match the
-  historical per-call subset slicing on every backend, with repacking
-  forced and without.
+* **Dropping never changes a detection outcome.**  A fault the
+  :mod:`repro.sim.resident` dropper has retired (by hit or discard)
+  must never be reported again (no resurrection), and the cumulative
+  hit sets must match on both backends at every batch width.
 """
 
 import random
@@ -22,20 +20,12 @@ import pytest
 
 from repro.atpg.faults import collapse_faults
 from repro.circuit import industrial_like, random_circuit, s27
-from repro.sim.array_backend import HAVE_NUMPY
 from repro.sim.parallel import signatures
-from repro.sim.resident import (
-    ArrayResidentDropper,
-    SubsetResidentDropper,
-    make_resident_dropper,
-)
+from repro.sim.resident import SubsetResidentDropper, make_resident_dropper
 
-#: The two signature widths the learning engine runs at: the paper's
-#: historical 256 and the array backend's 4096-bit word width.
+#: The two signature widths: the paper's historical 256 and a wide
+#: 4096 that spans many machine words.
 SIGNATURE_WIDTHS = (256, 4096)
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="the array backend needs numpy")
 
 
 def _circuits():
@@ -56,14 +46,12 @@ def test_signatures_identical_across_backends(width):
     for circuit in _circuits():
         ref = signatures(circuit, width=width,
                          rng=random.Random(99), backend="reference")
-        for backend in ("compiled", "array"):
-            assert signatures(circuit, width=width,
-                              rng=random.Random(99),
-                              backend=backend) == ref
+        assert signatures(circuit, width=width, rng=random.Random(99),
+                          backend="compiled") == ref
 
 
 # ----------------------------------------------------------------------
-# resident dropping: compaction, no resurrection, repack
+# resident dropping: no resurrection, backend and width independence
 # ----------------------------------------------------------------------
 def _drop_case(seed):
     circuit = industrial_like(f"drop_i{seed}", n_domains=2,
@@ -78,35 +66,32 @@ def _drop_case(seed):
     return circuit, faults, sequences
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("width", (None, 7))
 def test_resident_dropper_matches_subset_slicing(seed, width):
-    """Cumulative array-resident hits == historical subset slicing on
-    the reference backend, sequence by sequence.  ``width=7`` forces
-    many small batches (and repacks) on the same corpus."""
+    """Cumulative compiled-dropper hits == the reference dropper's,
+    sequence by sequence.  ``width=7`` forces many small batches on the
+    same corpus."""
     circuit, faults, sequences = _drop_case(seed)
     live = list(range(len(faults)))
-    resident = ArrayResidentDropper(circuit, faults, live, width=width)
-    subset = SubsetResidentDropper(circuit, faults, live,
-                                   backend="reference")
+    compiled = make_resident_dropper(circuit, faults, live, width=width)
+    reference = SubsetResidentDropper(circuit, faults, live,
+                                      backend="reference")
     for sequence in sequences:
-        assert (sorted(resident.drop(sequence))
-                == sorted(subset.drop(sequence)))
-    assert resident.stats()["drop_hits"] == subset.stats()["drop_hits"]
+        assert (sorted(compiled.drop(sequence))
+                == sorted(reference.drop(sequence)))
+    assert compiled.stats()["drop_hits"] == reference.stats()["drop_hits"]
 
 
-@needs_numpy
 def test_dropped_fault_never_resurrects():
-    """Column compaction: once a fault is dropped (by hit or discard)
-    no later ``drop`` call may report it again -- even after repacking
-    rebuilds every batch."""
+    """Once a fault is dropped (by hit or discard) no later ``drop``
+    call may report it again."""
     circuit, faults, sequences = _drop_case(1)
     live = list(range(len(faults)))
-    dropper = ArrayResidentDropper(circuit, faults, live, width=5)
+    dropper = make_resident_dropper(circuit, faults, live, width=5)
     retired = set()
     # Interleave external discards with drops so both retirement paths
-    # (and the halving-rule repack) run against the same corpus.
+    # run against the same corpus.
     discard_iter = iter(sorted(live, reverse=True))
     for sequence in sequences * 3:
         hits = dropper.drop(sequence)
@@ -118,24 +103,9 @@ def test_dropped_fault_never_resurrects():
                 dropper.discard(index)
                 retired.add(index)
                 break
-    stats = dropper.stats()
-    assert stats["live"] == len(faults) - len(retired)
-    # Force the halving-rule repack by discarding past the threshold,
-    # then prove compaction survives the rebuild: repacked batches must
-    # still never report anything retired before the repack.
-    for index in live:
-        if dropper.stats()["live"] <= max(2, len(faults) // 3):
-            break
-        if index not in retired:
-            dropper.discard(index)
-            retired.add(index)
-    assert dropper.stats()["repacks"] >= 1
-    for sequence in sequences:
-        hits = dropper.drop(sequence)
-        assert not (set(hits) & retired), "resurrected after repack"
-        retired.update(hits)
+    assert dropper.stats()["live"] == len(faults) - len(retired)
     # Everything retired: every further drop is a no-op.
-    for index in list(live):
+    for index in live:
         dropper.discard(index)
     assert dropper.stats()["live"] == 0
     assert dropper.drop(sequences[0]) == []
@@ -144,13 +114,12 @@ def test_dropped_fault_never_resurrects():
 def test_make_resident_dropper_dispatch():
     circuit, faults, _ = _drop_case(0)
     live = list(range(len(faults)))
-    assert isinstance(
-        make_resident_dropper(circuit, faults, live, backend="array"),
-        ArrayResidentDropper if HAVE_NUMPY else SubsetResidentDropper)
     for backend in ("reference", "compiled"):
         dropper = make_resident_dropper(circuit, faults, live,
                                         backend=backend)
         assert isinstance(dropper, SubsetResidentDropper)
         assert dropper.stats()["backend"] == backend
-    with pytest.raises(ValueError):
-        make_resident_dropper(circuit, faults, live, backend="vhdl")
+    # Schema version 6 removed the 'array' backend.
+    for backend in ("vhdl", "array"):
+        with pytest.raises(ValueError):
+            make_resident_dropper(circuit, faults, live, backend=backend)
