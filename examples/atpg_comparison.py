@@ -7,7 +7,7 @@ on the paper's Figure 2 decision-pruning example.
 Run:  python examples/atpg_comparison.py
 """
 
-from repro import figure2, iscas_like, learn
+from repro import ATPGConfig, figure2, iscas_like, learn
 from repro.atpg import Fault, SequentialATPG, run_atpg
 
 
@@ -21,9 +21,9 @@ def table5_style(circuit, max_faults=60) -> None:
     for limit in (30, 300):
         for mode, use in (("none", None), ("forbidden", learned),
                           ("known", learned)):
-            stats = run_atpg(circuit, learned=use, mode=mode,
-                             backtrack_limit=limit, max_frames=8,
-                             max_faults=max_faults)
+            config = ATPGConfig(mode=mode, backtrack_limit=limit,
+                                max_frames=8, max_faults=max_faults)
+            stats = run_atpg(circuit, learned=use, config=config)
             print(f"{limit:>6} {mode:>10} {stats.detected:>5} "
                   f"{stats.untestable:>6} {stats.aborted:>5} "
                   f"{100 * stats.test_coverage:>6.1f} "

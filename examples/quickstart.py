@@ -7,7 +7,7 @@ Run:  python examples/quickstart.py
 import os
 import tempfile
 
-from repro import figure1, learn, run_atpg
+from repro import ATPGConfig, figure1, learn, run_atpg
 from repro.api import ATPGRequest, LearnRequest, execute
 
 
@@ -40,8 +40,9 @@ def main() -> None:
     print("\nATPG (backtrack limit 30):")
     for mode, use in (("none", None), ("forbidden", learned),
                       ("known", learned)):
-        stats = run_atpg(circuit, learned=use, mode=mode,
-                         backtrack_limit=30, max_frames=8)
+        stats = run_atpg(circuit, learned=use,
+                         config=ATPGConfig(mode=mode, backtrack_limit=30,
+                                           max_frames=8))
         print(f"  mode={mode:9s} detected={stats.detected:3d}"
               f"  untestable={stats.untestable:2d}"
               f"  aborted={stats.aborted:2d}"

@@ -13,7 +13,7 @@ on retimed circuits.  This example reproduces the whole mechanism:
 Run:  python examples/retimed_circuits.py
 """
 
-from repro import figure2, learn, retime_circuit, run_atpg
+from repro import ATPGConfig, figure2, learn, retime_circuit, run_atpg
 from repro.analysis import analyze_state_space
 
 
@@ -37,8 +37,9 @@ def main() -> None:
     print(f"\nATPG on {most_retimed.name} (backtrack limit 30):")
     for mode, use in (("none", None), ("forbidden", learned),
                       ("known", learned)):
-        stats = run_atpg(most_retimed, learned=use, mode=mode,
-                         backtrack_limit=30, max_frames=8)
+        stats = run_atpg(most_retimed, learned=use,
+                         config=ATPGConfig(mode=mode, backtrack_limit=30,
+                                           max_frames=8))
         print(f"  mode={mode:9s} det={stats.detected:3d} "
               f"untest={stats.untestable:3d} abort={stats.aborted:3d} "
               f"cpu={stats.cpu_s:.2f}s")

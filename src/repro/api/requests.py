@@ -67,7 +67,10 @@ __all__ = [
 #: digests, so cache keys and canonical results are unchanged.
 #: Version 6 removed the ``array`` value of ``config.atpg.sim_backend``;
 #: a request naming it is now a ``config`` error.
-SCHEMA_VERSION = 6
+#: Version 7 removed the width knobs again; a config naming one is now a
+#: ``config`` error, and every config digest changed with the canonical
+#: form.
+SCHEMA_VERSION = 7
 
 #: Admission classes the serve tier schedules between; earlier names
 #: win ties (``interactive`` outranks ``batch``).

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..circuit.netlist import Circuit
@@ -123,44 +123,36 @@ def tie_untestable_indices(circuit: Circuit,
                 circuit, learned.ties, faults, classes)}
 
 
+def _config_or_default(config):
+    """``config``, or ``ATPGConfig()`` when it is ``None``."""
+    if config is not None:
+        return config
+    # Deferred: repro.flow imports this module.
+    from ..flow.config import ATPGConfig
+
+    return ATPGConfig()
+
+
 def run_atpg(circuit: Circuit, *,
              learned: Optional[LearnResult] = None,
              config=None,
-             mode: str = "none",
-             backtrack_limit: int = 30,
-             max_frames: int = 10,
              faults: Optional[Sequence[Fault]] = None,
-             fill_seed: int = 12345,
-             max_faults: Optional[int] = None,
-             keep_sequences: bool = True,
-             sim_backend: str = "compiled",
-             sim_width: Optional[int] = None,
-             atpg_engine: str = "incremental",
              progress: Optional[Callable[[int, int], None]] = None,
              generate: Optional[Callable[[Fault], TestResult]] = None,
              cancel: Optional[Callable[[], None]] = None
              ) -> ATPGStats:
     """Generate tests for every fault; returns aggregate statistics.
 
-    ``mode`` is 'none' (no sequential learning), 'known' or 'forbidden'
-    (the two Table-5 learning scenarios).  ``learned`` must be supplied
-    for the learning modes and is also used (in every mode it is present)
-    to pre-mark tie-gate untestable faults -- pass ``learned=None`` for
-    the paper's true no-learning baseline.
-
-    ``config`` bundles every knob except ``learned``/``faults`` into one
-    object (an :class:`repro.flow.ATPGConfig`); when given it overrides
-    the individual keyword arguments.  ``keep_sequences=False`` discards
-    generated vectors after fault simulation (suite runs over large
-    circuits would otherwise hold every test in memory);
-    :attr:`ATPGStats.sequences_total` counts them either way.
-    ``sim_backend`` picks the fault-dropping simulator ('compiled' or
-    'reference') and ``sim_width`` its machine-batch width
-    (``None`` = backend default; packing never changes a detection
-    set); ``atpg_engine`` picks the PODEM engine
-    ('incremental' or 'reference', see
-    :func:`repro.atpg.engine.make_atpg`).  Counts, sequences and
-    statistics are identical for every combination.
+    ``config`` (an :class:`repro.flow.ATPGConfig`; ``None`` means
+    ``ATPGConfig()``) carries every knob of the run.  Its ``mode`` is
+    'none' (no sequential learning), 'known' or 'forbidden' (the two
+    Table-5 learning scenarios).  ``learned`` must be supplied for the
+    learning modes and is also used (in every mode it is present) to
+    pre-mark tie-gate untestable faults -- pass ``learned=None`` with
+    ``mode='none'`` for the paper's true no-learning baseline.
+    ``faults`` replaces the collapsed fault list.  Counts, sequences and
+    statistics are identical for every ``sim_backend`` and
+    ``atpg_engine``.
 
     ``progress`` (never part of ``config``: it is UI, not data) is
     called as ``progress(targeted, total)`` after each fault the main
@@ -182,31 +174,23 @@ def run_atpg(circuit: Circuit, *,
     accounting and all -- and merge shard outcomes into statistics
     byte-identical to a serial run *by construction*, not by imitation.
     """
-    if config is not None:
-        mode = config.mode
-        backtrack_limit = config.backtrack_limit
-        max_frames = config.max_frames
-        fill_seed = config.fill_seed
-        max_faults = config.max_faults
-        keep_sequences = config.keep_sequences
-        sim_backend = config.sim_backend
-        sim_width = getattr(config, "sim_width", sim_width)
-        atpg_engine = getattr(config, "atpg_engine", atpg_engine)
+    config = _config_or_default(config)
+    mode = config.mode
     start = time.perf_counter()
     faults, classes = prepare_fault_list(circuit, faults=faults,
-                                         max_faults=max_faults,
-                                         fill_seed=fill_seed)
+                                         max_faults=config.max_faults,
+                                         fill_seed=config.fill_seed)
     stats = ATPGStats(circuit=circuit.name, mode=mode,
-                      backtrack_limit=backtrack_limit,
+                      backtrack_limit=config.backtrack_limit,
                       total_faults=len(faults))
     if generate is None:
         relations = learned.relations if learned is not None else None
-        atpg = make_atpg(circuit, engine=atpg_engine,
+        atpg = make_atpg(circuit, engine=config.atpg_engine,
                          relations=relations if mode != "none" else None,
-                         mode=mode, backtrack_limit=backtrack_limit,
-                         max_frames=max_frames)
+                         mode=mode, backtrack_limit=config.backtrack_limit,
+                         max_frames=config.max_frames)
         generate = atpg.generate
-    rng = random.Random(fill_seed)
+    rng = random.Random(config.fill_seed)
     input_names = [circuit.nodes[i].name for i in circuit.inputs]
 
     status: Dict[int, str] = {}
@@ -218,8 +202,7 @@ def run_atpg(circuit: Circuit, *,
     # One dropper serves the whole loop, retiring each fault once it
     # is decided (targeted or dropped).
     dropper = make_resident_dropper(circuit, faults, remaining,
-                                    backend=sim_backend,
-                                    width=sim_width)
+                                    backend=config.sim_backend)
     targeted = 0
     for index in list(remaining):
         if cancel is not None:
@@ -235,7 +218,7 @@ def run_atpg(circuit: Circuit, *,
         if result.status == "detected":
             sequence = _fill_sequence(result.sequence, input_names, rng)
             stats.sequences_total += 1
-            if keep_sequences:
+            if config.keep_sequences:
                 stats.sequences.append(sequence)
             status[index] = "detected"
             dropper.discard(index)
@@ -284,38 +267,25 @@ def _fill_sequence(sequence: List[Dict[str, int]],
 def compare_modes(circuit: Circuit, learned: LearnResult, *,
                   config=None,
                   backtrack_limits: Optional[Sequence[int]] = None,
-                  max_frames: int = 10,
-                  max_faults: Optional[int] = None,
                   cancel: Optional[Callable[[], None]] = None
                   ) -> List[ATPGStats]:
     """The full Table-5 protocol for one circuit.
 
     Runs no-learning, forbidden-value and known-value ATPG at every
     backtrack limit and returns the stats in table order.  ``config``
-    (an :class:`repro.flow.ATPGConfig`) supplies the per-run knobs; its
-    ``backtrack_limit`` seeds a single-entry ``backtrack_limits`` unless
-    that argument is passed explicitly.
+    (an :class:`repro.flow.ATPGConfig`; ``None`` means ``ATPGConfig()``)
+    supplies every other knob of each run; ``backtrack_limits=None``
+    means ``(config.backtrack_limit,)``.
     """
-    if config is not None:
-        max_frames = config.max_frames
-        max_faults = config.max_faults
+    config = _config_or_default(config)
     if backtrack_limits is None:
-        backtrack_limits = ((config.backtrack_limit,) if config
-                            else (30, 1000))
+        backtrack_limits = (config.backtrack_limit,)
     rows = []
     for limit in backtrack_limits:
         for mode, use_learned in (("none", None), ("forbidden", learned),
                                   ("known", learned)):
             rows.append(run_atpg(
-                circuit, learned=use_learned, mode=mode,
-                backtrack_limit=limit, max_frames=max_frames,
-                max_faults=max_faults,
-                fill_seed=config.fill_seed if config else 12345,
-                keep_sequences=config.keep_sequences if config else True,
-                sim_backend=(config.sim_backend if config
-                             else "compiled"),
-                sim_width=config.sim_width if config else None,
-                atpg_engine=(config.atpg_engine if config
-                             else "incremental"),
+                circuit, learned=use_learned,
+                config=replace(config, mode=mode, backtrack_limit=limit),
                 cancel=cancel))
     return rows

@@ -75,17 +75,29 @@ def resolve_circuit(spec: str, retime: int = 0) -> Circuit:
 # ----------------------------------------------------------------------
 # argv -> request
 # ----------------------------------------------------------------------
-def _config(args, learn_config: Optional[LearnConfig] = None,
-            atpg_config: Optional[ATPGConfig] = None) -> ReproConfig:
-    atpg_config = atpg_config or ATPGConfig()
-    atpg_config.sim_backend = getattr(args, "backend",
-                                      atpg_config.sim_backend)
-    atpg_config.atpg_engine = getattr(args, "atpg_engine",
-                                      atpg_config.atpg_engine)
-    return ReproConfig(learn=learn_config or LearnConfig(),
-                       atpg=atpg_config,
-                       retime=getattr(args, "retime", 0),
-                       jobs=getattr(args, "jobs", 1))
+def _given(**flags) -> dict:
+    """The flags given on the command line (argparse leaves the rest
+    ``None``), so the dataclass defaults fill in everything else."""
+    return {name: value for name, value in flags.items()
+            if value is not None}
+
+
+def _config(args) -> ReproConfig:
+    """The request config: each knob flag the command line gave, the
+    :mod:`repro.flow.config` default for every other knob."""
+    flag = vars(args).get
+    return ReproConfig(
+        learn=LearnConfig(**_given(
+            max_frames=flag("max_frames"),
+            use_multi_node=False if flag("no_multi") else None,
+            use_equivalence=False if flag("no_equiv") else None)),
+        atpg=ATPGConfig(**_given(
+            backtrack_limit=flag("backtrack_limit"),
+            max_frames=flag("window"),
+            max_faults=flag("max_faults"),
+            sim_backend=flag("backend"),
+            atpg_engine=flag("atpg_engine"))),
+        **_given(retime=flag("retime"), jobs=flag("jobs")))
 
 
 def _req_list(args) -> Request:
@@ -99,32 +111,20 @@ def _req_stats(args) -> Request:
 def _req_learn(args) -> Request:
     return LearnRequest(
         spec=args.circuit,
-        config=_config(args, learn_config=LearnConfig(
-            max_frames=args.max_frames,
-            use_multi_node=not args.no_multi,
-            use_equivalence=not args.no_equiv)),
-        validate_sequences=args.validate,
+        config=_config(args),
         save=args.save,
         canonical=getattr(args, "canonical", False),
         # Tie/relation listings ride on the payload only when the text
         # renderer needs them; the historical --json shape stays lean.
-        details=args.verbose and not args.json)
-
-
-def _atpg_config(args, **overrides) -> ATPGConfig:
-    return ATPGConfig(backtrack_limit=args.backtrack_limit,
-                      max_frames=args.window,
-                      max_faults=args.max_faults,
-                      **overrides)
+        details=args.verbose and not args.json,
+        **_given(validate_sequences=args.validate))
 
 
 def _req_atpg(args) -> Request:
     modes = tuple(ATPG_MODES) if args.mode == "all" else (args.mode,)
     return ATPGRequest(
         spec=args.circuit,
-        config=_config(args,
-                       learn_config=LearnConfig(max_frames=args.max_frames),
-                       atpg_config=_atpg_config(args)),
+        config=_config(args),
         modes=modes,
         learned=args.learned,
         canonical=getattr(args, "canonical", False))
@@ -134,9 +134,7 @@ def _req_faultsim(args) -> Request:
     modes = tuple(ATPG_MODES) if args.mode == "all" else (args.mode,)
     return FaultSimRequest(
         spec=args.circuit,
-        config=_config(args,
-                       learn_config=LearnConfig(max_frames=args.max_frames),
-                       atpg_config=_atpg_config(args)),
+        config=_config(args),
         modes=modes,
         canonical=getattr(args, "canonical", False))
 
@@ -144,20 +142,16 @@ def _req_faultsim(args) -> Request:
 def _req_compare(args) -> Request:
     return CompareRequest(
         spec=args.circuit,
-        config=_config(args,
-                       learn_config=LearnConfig(max_frames=args.max_frames),
-                       atpg_config=_atpg_config(args)),
-        backtrack_limits=tuple(args.backtrack_limits),
-        canonical=getattr(args, "canonical", False))
+        config=_config(args),
+        canonical=getattr(args, "canonical", False),
+        **_given(backtrack_limits=args.backtrack_limits))
 
 
 def _req_suite(args) -> Request:
     modes = tuple(ATPG_MODES) if args.mode == "all" else (args.mode,)
     return SuiteRequest(
         specs=tuple(args.circuits),
-        config=_config(args,
-                       learn_config=LearnConfig(max_frames=args.max_frames),
-                       atpg_config=_atpg_config(args)),
+        config=_config(args),
         modes=modes,
         out=args.out,
         canonical=args.canonical)
@@ -170,7 +164,7 @@ def _req_untestable(args) -> Request:
 
 def _req_analyze(args) -> Request:
     return AnalyzeRequest(spec=args.circuit, config=_config(args),
-                          max_ffs=args.max_ffs)
+                          **_given(max_ffs=args.max_ffs))
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("circuit",
                        help="builtin name, like:<profile>[@scale], or "
                             ".bench path")
-        p.add_argument("--retime", type=int, default=0, metavar="MOVES",
+        p.add_argument("--retime", type=int, metavar="MOVES",
                        help="apply N backward-retiming moves first")
         add_json(p)
 
@@ -298,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(and to a repro serve answer)")
 
     def add_backend(p):
-        p.add_argument("--backend", default="compiled",
-                       choices=SIM_BACKENDS,
+        p.add_argument("--backend", choices=SIM_BACKENDS,
                        help="simulation backend (compiled straight-line "
                             "kernels or the reference interpreters; "
                             "identical results)")
@@ -313,13 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="run sequential learning")
     add_circuit(p)
     add_backend(p)
-    p.add_argument("--max-frames", type=int, default=50)
+    p.add_argument("--max-frames", type=int,
+                   help="learning simulation depth")
     p.add_argument("--no-multi", action="store_true",
                    help="disable multiple-node learning")
     p.add_argument("--no-equiv", action="store_true",
                    help="disable gate-equivalence identification")
     p.add_argument("--verbose", "-v", action="store_true")
-    p.add_argument("--validate", type=int, default=0, metavar="N",
+    p.add_argument("--validate", type=int, metavar="N",
                    help="Monte-Carlo check with N random sequences")
     p.add_argument("--save", metavar="FILE",
                    help="write the learning artifact as JSON")
@@ -327,17 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_atpg_knobs(p):
         add_backend(p)
-        p.add_argument("--atpg-engine", default="incremental",
-                       choices=ATPG_ENGINES,
+        p.add_argument("--atpg-engine", choices=ATPG_ENGINES,
                        help="PODEM engine (incremental event-driven "
                             "search or the reference re-simulating "
                             "loop; identical results)")
-        p.add_argument("--backtrack-limit", type=int, default=30)
-        p.add_argument("--window", type=int, default=8,
+        p.add_argument("--backtrack-limit", type=int)
+        p.add_argument("--window", type=int,
                        help="maximum time-frame window")
-        p.add_argument("--max-frames", type=int, default=50,
+        p.add_argument("--max-frames", type=int,
                        help="learning simulation depth")
-        p.add_argument("--max-faults", type=int, default=None)
+        p.add_argument("--max-faults", type=int)
         p.add_argument("--mode", default="all",
                        choices=("all",) + ATPG_MODES,
                        help="implication mode(s) to run")
@@ -361,30 +354,27 @@ def build_parser() -> argparse.ArgumentParser:
                             "backtrack limit")
     add_circuit(p)
     add_backend(p)
-    p.add_argument("--atpg-engine", default="incremental",
-                   choices=ATPG_ENGINES)
+    p.add_argument("--atpg-engine", choices=ATPG_ENGINES)
     p.add_argument("--backtrack-limits", type=int, nargs="+",
-                   default=[30, 1000], metavar="N",
+                   metavar="N",
                    help="backtrack limits to sweep (paper: 30 and 1000)")
-    p.add_argument("--backtrack-limit", type=int, default=30,
-                   help=argparse.SUPPRESS)  # shared config plumbing
-    p.add_argument("--window", type=int, default=8,
+    p.add_argument("--window", type=int,
                    help="maximum time-frame window")
-    p.add_argument("--max-frames", type=int, default=50,
+    p.add_argument("--max-frames", type=int,
                    help="learning simulation depth")
-    p.add_argument("--max-faults", type=int, default=None)
+    p.add_argument("--max-faults", type=int)
     add_canonical(p)
 
     p = sub.add_parser("suite", help="batch pipeline over many circuits")
     p.add_argument("circuits", nargs="+",
                    help="circuit specs (builtin, like:<profile>, .bench)")
-    p.add_argument("--retime", type=int, default=0, metavar="MOVES")
+    p.add_argument("--retime", type=int, metavar="MOVES")
     add_json(p)
     add_atpg_knobs(p)
     p.add_argument("--out", metavar="FILE",
                    help="also write the suite report JSON to FILE "
                         "(atomic write)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=int, metavar="N",
                    help="shard circuits over N worker processes "
                         "(0 = one per CPU core; default 1 = serial; "
                         "the report is identical for every N -- CLI "
@@ -401,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="density of encoding")
     add_circuit(p)
-    p.add_argument("--max-ffs", type=int, default=16)
+    p.add_argument("--max-ffs", type=int)
 
     p = sub.add_parser("serve",
                        help="run the warm JSON-over-HTTP daemon "
@@ -442,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "repro suite --canonical)")
     p.add_argument("circuits", nargs="+",
                    help="circuit specs (builtin, like:<profile>, .bench)")
-    p.add_argument("--retime", type=int, default=0, metavar="MOVES")
+    p.add_argument("--retime", type=int, metavar="MOVES")
     add_json(p)
     add_atpg_knobs(p)
     p.add_argument("--shards", type=int, default=4, metavar="N",
@@ -544,9 +534,7 @@ def _run_coordinator_command(args) -> int:
     from .dist import run_coordinator
 
     modes = tuple(ATPG_MODES) if args.mode == "all" else (args.mode,)
-    config = _config(args,
-                     learn_config=LearnConfig(max_frames=args.max_frames),
-                     atpg_config=_atpg_config(args))
+    config = _config(args)
     announce = None if args.json else (
         lambda message: print(message, file=sys.stderr))
     try:

@@ -62,32 +62,10 @@ class LearnConfig:
     multi_node_max_targets: Optional[int] = None
     #: Random seed for equivalence patterns.
     seed: int = 20260611
-    #: Width of the random-pattern signatures behind equivalence
-    #: candidate identification.  ``None`` keeps
-    #: :attr:`equivalence_width` (the historical 256).  Part of the
-    #: learned config digest: a different width can bucket different
-    #: candidate pairs (results across *backends* are bit-identical at
-    #: any fixed width).
-    signature_width: Optional[int] = None
-    #: Machine-batch width of the batched single-node learning runs
-    #: (``None`` = 128 machines per batch).  A pure packing knob:
-    #: machines are independent bit columns, so learned data never
-    #: depends on it.
-    single_node_batch_width: Optional[int] = None
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON representation (inverse of :meth:`from_dict`)."""
+        """Plain-JSON representation (every field, defaults included)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "LearnConfig":
-        """Rebuild from :meth:`to_dict` output; unknown keys rejected."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown LearnConfig keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 @dataclass
@@ -180,8 +158,7 @@ class SequentialLearner:
     ``sim_backend`` selects the pattern simulator behind equivalence
     signatures and the plane evaluator behind batched single-node runs
     ('reference' or 'compiled', see :mod:`repro.sim.compiled`);
-    learned knowledge is bit-identical for every backend at a fixed
-    signature width.
+    learned knowledge is bit-identical for every backend.
     """
 
     def __init__(self, circuit: Circuit,
@@ -206,18 +183,15 @@ class SequentialLearner:
         t0 = time.perf_counter()
         for key, active in passes:
             simulator = FrameSimulator(circuit, active_ffs=active)
-            data = run_single_node(
-                simulator, max_frames=cfg.max_frames,
-                backend=self.sim_backend,
-                batch_width=cfg.single_node_batch_width)
+            data = run_single_node(simulator, max_frames=cfg.max_frames,
+                                   backend=self.sim_backend)
             single_data[key] = data
             extract_same_frame_relations(
                 data, db, store_gate_gate=cfg.store_gate_gate)
         if not passes:  # purely combinational circuit
             simulator = FrameSimulator(circuit)
             data = run_single_node(simulator, max_frames=1,
-                                   backend=self.sim_backend,
-                                   batch_width=cfg.single_node_batch_width)
+                                   backend=self.sim_backend)
             single_data[("comb", 0, "none")] = data
             extract_same_frame_relations(
                 data, db, store_gate_gate=cfg.store_gate_gate)
@@ -236,7 +210,7 @@ class SequentialLearner:
         if cfg.use_equivalence:
             equivalences = find_equivalences(
                 circuit, ties,
-                width=cfg.signature_width or cfg.equivalence_width,
+                width=cfg.equivalence_width,
                 max_support=cfg.equivalence_max_support,
                 rng=random.Random(cfg.seed),
                 backend=self.sim_backend)

@@ -45,7 +45,7 @@ the differential tests compare against serial runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..atpg.driver import (
@@ -128,18 +128,13 @@ def make_fault_shards(n_faults: int, n_shards: int) -> List[FaultShard]:
                 partition_fault_indices(n_faults, n_shards))]
 
 
-def _shard_config(config: Optional[ATPGConfig],
-                  mode: Optional[str]) -> ATPGConfig:
-    config = config or ATPGConfig()
-    if mode is not None:
-        config = replace(config, mode=mode)
-    return config.validate()
+def _shard_config(config: Optional[ATPGConfig]) -> ATPGConfig:
+    return (config or ATPGConfig()).validate()
 
 
 def run_fault_shard(circuit: Circuit, shard: FaultShard, *,
                     learned: Optional[LearnResult] = None,
                     config: Optional[ATPGConfig] = None,
-                    mode: Optional[str] = None,
                     progress: Optional[Callable[[int, int], None]] = None
                     ) -> Dict[int, FaultOutcome]:
     """Phase 1: generate speculatively for every fault in the shard.
@@ -148,7 +143,7 @@ def run_fault_shard(circuit: Circuit, shard: FaultShard, *,
     them (the merge re-derives the same set, so no outcome is needed).
     Returns ``{fault_index: FaultOutcome}`` for the shard's slice.
     """
-    config = _shard_config(config, mode)
+    config = _shard_config(config)
     faults, classes = prepare_fault_list(
         circuit, max_faults=config.max_faults,
         fill_seed=config.fill_seed)
@@ -184,7 +179,6 @@ def merge_shard_outcomes(circuit: Circuit,
                          outcomes: Dict[int, FaultOutcome], *,
                          learned: Optional[LearnResult] = None,
                          config: Optional[ATPGConfig] = None,
-                         mode: Optional[str] = None,
                          strict: bool = False) -> ATPGStats:
     """Phase 2: replay the serial loop with generation pre-answered.
 
@@ -198,7 +192,7 @@ def merge_shard_outcomes(circuit: Circuit,
     :class:`MissingOutcomeError` instead, which is how the differential
     tests prove shard coverage is complete.
     """
-    config = _shard_config(config, mode)
+    config = _shard_config(config)
     learned_for_run = learned if config.mode != "none" else None
     fallback_engine: List[object] = []
 
@@ -237,7 +231,6 @@ def merge_shard_outcomes(circuit: Circuit,
 def run_atpg_sharded(circuit: Circuit, *,
                      learned: Optional[LearnResult] = None,
                      config: Optional[ATPGConfig] = None,
-                     mode: Optional[str] = None,
                      n_shards: int = 2,
                      strict: bool = True) -> ATPGStats:
     """Shard, generate and merge in-process: the reference pipeline.
@@ -248,7 +241,7 @@ def run_atpg_sharded(circuit: Circuit, *,
     The coordinator/worker runtime distributes the same two phases over
     TCP; this function is what it must agree with.
     """
-    config = _shard_config(config, mode)
+    config = _shard_config(config)
     faults, _ = prepare_fault_list(circuit,
                                    max_faults=config.max_faults,
                                    fill_seed=config.fill_seed)

@@ -1,11 +1,13 @@
 """Typed, serializable configuration for the pipeline layer.
 
-:class:`ATPGConfig` replaces the keyword-argument soup that used to ride
-on :func:`repro.atpg.run_atpg` / :func:`repro.atpg.compare_modes`;
-:class:`ReproConfig` bundles it with the learning engine's
-:class:`~repro.core.engine.LearnConfig` into one object a
-:class:`~repro.flow.session.PipelineSession` (or a config file) can
-carry.  All three round-trip through plain dicts --
+:class:`ATPGConfig`, :class:`ReproConfig` and the learning engine's
+:class:`~repro.core.engine.LearnConfig` are the one place where a knob
+and its default live.  Every layer above them passes a config object
+and keeps no copy: :func:`repro.atpg.run_atpg` and
+:func:`repro.atpg.compare_modes` take ``config=`` (``None`` means
+``ATPGConfig()``), a :class:`~repro.flow.session.PipelineSession`
+carries a :class:`ReproConfig`, and the CLI sets only the knobs whose
+flags were given.  All three round-trip through plain dicts --
 ``json.dumps(cfg.to_dict())`` is the canonical on-disk form -- and
 reject unknown keys and mistyped values on the way back in so a typo in
 a config file fails loudly instead of being ignored.
@@ -138,12 +140,6 @@ class ATPGConfig:
     #: (the original interpreters).  Results are bit-identical; the
     #: reference backend exists for differential testing and debugging.
     sim_backend: str = "compiled"
-    #: Machine-batch width of the fault-dropping simulator (one fault
-    #: machine per bit column; ``None`` = the simulator's default of
-    #: 128).  A pure packing knob:
-    #: detection sets -- and therefore every statistic -- never depend
-    #: on it, which the differential harness enforces.
-    sim_width: Optional[int] = None
     #: PODEM engine behind test generation: 'incremental' (event-driven
     #: window updates with trail-based backtracking, the default) or
     #: 'reference' (full window re-simulation per decision).  Results
@@ -171,8 +167,6 @@ class ATPGConfig:
             raise ConfigError("max_frames must be >= 1")
         if self.max_faults is not None and self.max_faults < 1:
             raise ConfigError("max_faults must be >= 1 or None")
-        if self.sim_width is not None and self.sim_width < 1:
-            raise ConfigError("sim_width must be >= 1 or None")
         return self
 
     def to_dict(self) -> Dict[str, object]:
@@ -220,8 +214,17 @@ class ReproConfig:
         if self.jobs < 0:
             raise ConfigError(
                 f"jobs must be >= 0 (0 = all CPU cores), got {self.jobs}")
-        if self.learn.max_frames < 1:
+        learn = self.learn
+        if learn.max_frames < 1:
             raise ConfigError("learn.max_frames must be >= 1")
+        if learn.equivalence_width < 1:
+            raise ConfigError("learn.equivalence_width must be >= 1")
+        if learn.equivalence_max_support < 1:
+            raise ConfigError("learn.equivalence_max_support must be >= 1")
+        if (learn.multi_node_max_targets is not None
+                and learn.multi_node_max_targets < 1):
+            raise ConfigError(
+                "learn.multi_node_max_targets must be >= 1 or None")
         self.atpg.validate()
         return self
 
@@ -254,9 +257,7 @@ class ReproConfig:
         if isinstance(data, dict):
             data = dict(data)
             # Nested sections arrive as plain dicts; LearnConfig lives
-            # in core, so it goes through the shared strict constructor
-            # here (a ConfigError) rather than its own from_dict (a
-            # plain ValueError).
+            # in core and has no constructor of its own.
             if isinstance(data.get("learn"), dict):
                 data["learn"] = _from_dict(LearnConfig, data["learn"])
             if isinstance(data.get("atpg"), dict):

@@ -36,9 +36,12 @@ from ..core.engine import LearnConfig, LearnResult
 from ..core.multi_node import MultiNodeStats
 from ..core.relations import RelationDB
 from ..core.ties import TieSet
+from .config import _from_dict
 
 #: Bumped whenever the artifact layout changes incompatibly.
-FORMAT_VERSION = 1
+#: Version 2 dropped the width knobs (``signature_width``,
+#: ``single_node_batch_width``) from the saved learning config.
+FORMAT_VERSION = 2
 
 LEARN_FORMAT = "repro/learn-result"
 STATS_FORMAT = "repro/atpg-stats"
@@ -214,7 +217,7 @@ def learn_result_from_dict(data: Dict[str, object],
             "learning or drop the artifact")
 
     try:
-        config = LearnConfig.from_dict(data.get("config", {}))
+        config = _from_dict(LearnConfig, data.get("config", {}))
         return _rebuild_body(data, circuit, config)
     except CircuitError as exc:
         # Fingerprint matched but a node reference does not resolve:

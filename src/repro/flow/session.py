@@ -418,8 +418,7 @@ class PipelineSession:
         def grade() -> Dict[str, object]:
             faults = collapse_faults(circuit)
             simulator = make_fault_simulator(
-                circuit, width=self.config.atpg.sim_width,
-                backend=self.config.atpg.sim_backend)
+                circuit, backend=self.config.atpg.sim_backend)
             undetected = list(faults)
             for sequence in stats.sequences:
                 if not undetected:

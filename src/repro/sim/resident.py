@@ -10,15 +10,14 @@ never reported again.
 
 Detection sets -- and therefore every
 :class:`~repro.atpg.driver.ATPGStats` field -- are identical on both
-backends and at every batch width, by the same batch-independence
-contract the differential harness enforces.  Droppers are owned by one
-driver loop and are deliberately single-threaded (no locks): each
-``run_atpg`` call builds its own.
+backends, by the same contract the differential harness enforces.
+Droppers are owned by one driver loop and are deliberately
+single-threaded (no locks): each ``run_atpg`` call builds its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..circuit.netlist import Circuit
 from .compiled import make_fault_simulator
@@ -36,10 +35,8 @@ class SubsetResidentDropper:
     """
 
     def __init__(self, circuit: Circuit, faults: Sequence,
-                 live: Sequence[int], backend: str = "compiled",
-                 width: Optional[int] = None):
-        self._sim = make_fault_simulator(circuit, width=width,
-                                         backend=backend)
+                 live: Sequence[int], backend: str = "compiled"):
+        self._sim = make_fault_simulator(circuit, backend=backend)
         self._backend = backend
         self._faults = faults
         self._live = set(live)
@@ -73,14 +70,10 @@ class SubsetResidentDropper:
 
 def make_resident_dropper(circuit: Circuit, faults: Sequence,
                           live: Sequence[int], *,
-                          backend: str = "compiled",
-                          width: Optional[int] = None
+                          backend: str = "compiled"
                           ) -> SubsetResidentDropper:
     """Dropper factory over :data:`~repro.sim.compiled.SIM_BACKENDS`.
 
-    ``width`` is a pure batch packing knob (``None`` = the simulator's
-    default) and never changes any detection set.  An unknown
-    ``backend`` raises :class:`ValueError`.
+    An unknown ``backend`` raises :class:`ValueError`.
     """
-    return SubsetResidentDropper(circuit, faults, live,
-                                 backend=backend, width=width)
+    return SubsetResidentDropper(circuit, faults, live, backend=backend)

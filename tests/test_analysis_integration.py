@@ -103,14 +103,16 @@ def test_retimed_circuit_learns_more_invalid_states():
 def test_full_flow_learning_helps_atpg_on_figure1():
     """End-to-end Table-5 shape on the worked example."""
     from repro.atpg import run_atpg
+    from repro.flow import ATPGConfig
 
     circuit = figure1()
     learned = learn(circuit)
-    base = run_atpg(circuit, backtrack_limit=30, max_frames=8)
-    forb = run_atpg(circuit, learned=learned, mode="forbidden",
-                    backtrack_limit=30, max_frames=8)
-    known = run_atpg(circuit, learned=learned, mode="known",
-                     backtrack_limit=30, max_frames=8)
+    base = run_atpg(circuit, config=ATPGConfig(
+        mode="none", backtrack_limit=30, max_frames=8))
+    forb = run_atpg(circuit, learned=learned, config=ATPGConfig(
+        mode="forbidden", backtrack_limit=30, max_frames=8))
+    known = run_atpg(circuit, learned=learned, config=ATPGConfig(
+        mode="known", backtrack_limit=30, max_frames=8))
     # Learning identifies untestable faults the baseline cannot.
     assert forb.untestable > base.untestable
     assert known.untestable > base.untestable

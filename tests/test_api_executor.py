@@ -187,24 +187,30 @@ def test_config_error_envelope():
     assert response.error["code"] == "config"
 
 
-@pytest.mark.parametrize("atpg", [
-    {"backtrack_limit": "x"},
-    {"sim_width": "wide"},
-    {"max_frames": None},
-    {"max_faults": 2.5},
-    {"sim_width": True},
+@pytest.mark.parametrize("case", [
+    ("atpg", {"backtrack_limit": "x"}),
+    ("atpg", {"sim_width": "wide"}),
+    ("atpg", {"max_frames": None}),
+    ("atpg", {"max_faults": 2.5}),
+    ("atpg", {"sim_width": True}),
     # Schema version 6 removed the 'array' backend.
-    {"sim_backend": "array"},
-], ids=lambda atpg: "-".join(f"{k}={v}" for k, v in atpg.items()))
-def test_malformed_config_value_is_config_error(atpg):
-    """A mistyped or unknown value fails validation as a ``config``
-    error naming the field, never as an ``engine`` error from deep
-    inside the run."""
+    ("atpg", {"sim_backend": "array"}),
+    ("learn", {"equivalence_width": -5}),
+    ("learn", {"equivalence_width": 0}),
+    ("learn", {"equivalence_max_support": -1}),
+    ("learn", {"multi_node_max_targets": 0}),
+], ids=lambda case: "-".join(f"{k}={v}" for k, v in case[1].items()))
+def test_malformed_config_value_is_config_error(case):
+    """A mistyped, out-of-range or unknown value fails validation as a
+    ``config`` error naming the field, never as an ``engine`` error
+    from deep inside the run (schema version 7 removed ``sim_width``,
+    so it is an unknown key)."""
+    section, values = case
     response = execute({"kind": "atpg", "spec": "s27",
-                        "config": {"atpg": atpg}})
+                        "config": {section: values}})
     assert not response.ok
     assert response.error["code"] == "config"
-    assert next(iter(atpg)) in response.error["message"]
+    assert next(iter(values)) in response.error["message"]
 
 
 def test_stale_artifact_error_envelope(tmp_path):
@@ -217,6 +223,25 @@ def test_stale_artifact_error_envelope(tmp_path):
     assert response.error["code"] == "artifact"
     assert response.error["stage"] == "learn"
     assert "does not match" in response.error["message"]
+
+
+def test_pre_v7_artifact_is_an_unsupported_version(tmp_path):
+    """An artifact saved before the width knobs were removed (artifact
+    format 1, its learning config still naming them) fails as an
+    unsupported version, not as a malformed payload."""
+    artifact = tmp_path / "old.json"
+    assert execute(LearnRequest(spec="figure1", config=tiny_config(),
+                                save=str(artifact))).ok
+    data = json.loads(artifact.read_text())
+    data["version"] = 1
+    data["config"].update(signature_width=None,
+                          single_node_batch_width=None)
+    artifact.write_text(json.dumps(data))
+    response = execute(ATPGRequest(spec="figure1", config=tiny_config(),
+                                   learned=str(artifact)))
+    assert not response.ok
+    assert response.error["code"] == "artifact"
+    assert "unsupported artifact version" in response.error["message"]
 
 
 def test_engine_error_envelope(monkeypatch):

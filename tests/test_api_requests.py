@@ -142,7 +142,7 @@ def test_non_dict_rejected():
 #: key changes with it.  That can be a deliberate, reviewed event
 #: (update the pin); it must never be a drive-by.
 PINNED_DEFAULT_CONFIG_DIGEST = (
-    "95020b7b7cac6bf746d35923ebcffb77b6ebd3b214dfac871637852d63916421")
+    "0f2bbde73c652f45f84cb495603c22d7b3016c86de021ff9d1d3bc2e31c3cc8d")
 
 
 def test_default_config_digest_is_pinned():

@@ -16,6 +16,7 @@ from repro.atpg import (
     fires_untestable,
     run_atpg,
 )
+from repro.flow import ATPGConfig
 from repro.sim import fault_simulate
 
 
@@ -146,7 +147,8 @@ def test_invalid_mode_rejected():
 
 def test_run_atpg_accounting():
     c = s27()
-    stats = run_atpg(c, backtrack_limit=1000, max_frames=10)
+    stats = run_atpg(c, config=ATPGConfig(
+        mode="none", backtrack_limit=1000, keep_sequences=True))
     assert stats.detected + stats.untestable + stats.aborted == \
         stats.total_faults
     assert stats.detected == stats.total_faults  # s27 fully testable
@@ -158,8 +160,8 @@ def test_run_atpg_accounting():
 def test_run_atpg_with_learning_marks_ties_untestable():
     c = figure1()
     learned = learn(c)
-    stats = run_atpg(c, learned=learned, mode="forbidden",
-                     backtrack_limit=30, max_frames=6)
+    stats = run_atpg(c, learned=learned, config=ATPGConfig(
+        mode="forbidden", backtrack_limit=30, max_frames=6))
     assert stats.untestable >= 2  # G3/G8 class + G15 class
     assert stats.detected + stats.untestable + stats.aborted == \
         stats.total_faults
@@ -167,13 +169,15 @@ def test_run_atpg_with_learning_marks_ties_untestable():
 
 def test_run_atpg_max_faults_sampling():
     c = figure1()
-    stats = run_atpg(c, backtrack_limit=10, max_frames=4, max_faults=10)
+    stats = run_atpg(c, config=ATPGConfig(
+        mode="none", backtrack_limit=10, max_frames=4, max_faults=10))
     assert stats.total_faults == 10
 
 
 def test_collateral_detection_happens():
     c = s27()
-    stats = run_atpg(c, backtrack_limit=100, max_frames=8)
+    stats = run_atpg(c, config=ATPGConfig(
+        mode="none", backtrack_limit=100, max_frames=8))
     assert stats.collateral > 0  # fault dropping must fire on s27
 
 

@@ -24,6 +24,7 @@ import pytest
 from repro.atpg.driver import run_atpg
 from repro.atpg.faults import collapse_faults, full_fault_list
 from repro.circuit import industrial_like, random_circuit, retime_circuit
+from repro.flow import ATPGConfig
 from repro.sim.compiled import CompiledFaultSimulator, compile_circuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.parallel import random_source_masks, simulate_patterns
@@ -129,13 +130,10 @@ def _stats_key(stats):
                          + [("retimed", s) for s in range(2)]
                          + [("industrial", s) for s in range(2)])
 def test_atpg_stats_identical(kind, seed):
-    """Whole ATPG runs produce identical statistics on both backends,
-    the compiled one at a rung of the width ladder."""
+    """Whole ATPG runs produce identical statistics on both backends."""
     circuit = _build(kind, seed)
-    rows = [run_atpg(circuit, mode="none", backtrack_limit=8,
-                     max_frames=4, max_faults=24, keep_sequences=True,
-                     sim_backend=backend, sim_width=width)
-            for backend, width in (("reference", None),
-                                   ("compiled",
-                                    WIDTHS[seed % len(WIDTHS)]))]
+    rows = [run_atpg(circuit, config=ATPGConfig(
+                mode="none", backtrack_limit=8, max_frames=4,
+                max_faults=24, keep_sequences=True, sim_backend=backend))
+            for backend in ("reference", "compiled")]
     assert _stats_key(rows[0]) == _stats_key(rows[1])

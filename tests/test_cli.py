@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.cli import build_parser, main, resolve_circuit
+from repro.cli import _COMMANDS, build_parser, main, resolve_circuit
+from repro.flow import ReproConfig
 
 
 def test_list(capsys):
@@ -67,6 +68,36 @@ def test_resolve_bench_file(tmp_path):
     path.write_text(bench_text(figure2()))
     circuit = resolve_circuit(str(path))
     assert circuit.num_ffs == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn", "s27"],
+    ["atpg", "s27"],
+    ["faultsim", "s27"],
+    ["compare", "s27"],
+    ["suite", "s27"],
+], ids=lambda argv: argv[0])
+def test_flagless_command_builds_the_default_config(argv):
+    """With no knob flags the request carries exactly the dataclass
+    defaults, so ``repro atpg s27`` and ``ATPGRequest(spec="s27")``
+    compute the same thing (the ATPG window is
+    ``ATPGConfig.max_frames``)."""
+    args = build_parser().parse_args(argv)
+    build_request, _ = _COMMANDS[args.command]
+    assert build_request(args).config == ReproConfig()
+
+
+def test_knob_flags_reach_the_config():
+    args = build_parser().parse_args(
+        ["suite", "s27", "--window", "3", "--backtrack-limit", "7",
+         "--max-frames", "9", "--max-faults", "5", "--backend",
+         "reference", "--atpg-engine", "reference", "--retime", "1",
+         "--jobs", "2"])
+    config = _COMMANDS["suite"][0](args).config
+    assert (config.atpg.max_frames, config.atpg.backtrack_limit,
+            config.atpg.max_faults, config.atpg.sim_backend,
+            config.atpg.atpg_engine) == (3, 7, 5, "reference", "reference")
+    assert (config.learn.max_frames, config.retime, config.jobs) == (9, 1, 2)
 
 
 def test_parser_requires_command():

@@ -8,6 +8,7 @@ from repro.circuit import figure1, s27
 from repro.core import learn
 from repro.atpg import collapse_faults, compare_modes, run_atpg
 from repro.atpg.driver import _fill_sequence
+from repro.flow import ATPGConfig
 from repro.sim import fault_simulate
 
 
@@ -30,7 +31,9 @@ def test_generated_sequences_detect_their_faults():
     """Driver-level cross-check: stored sequences detect something."""
     c = s27()
     faults = collapse_faults(c)
-    stats = run_atpg(c, backtrack_limit=1000, max_frames=10)
+    stats = run_atpg(c, config=ATPGConfig(
+        mode="none", backtrack_limit=1000, keep_sequences=True))
+    assert stats.sequences
     for sequence in stats.sequences:
         assert fault_simulate(c, sequence, faults), sequence
 
@@ -38,8 +41,9 @@ def test_generated_sequences_detect_their_faults():
 def test_compare_modes_protocol_order():
     c = figure1()
     learned = learn(c)
-    rows = compare_modes(c, learned, backtrack_limits=(5,),
-                         max_frames=4, max_faults=12)
+    rows = compare_modes(c, learned,
+                         config=ATPGConfig(max_frames=4, max_faults=12),
+                         backtrack_limits=(5,))
     assert [r.mode for r in rows] == ["none", "forbidden", "known"]
     assert all(r.backtrack_limit == 5 for r in rows)
     assert all(r.total_faults == 12 for r in rows)
@@ -48,16 +52,17 @@ def test_compare_modes_protocol_order():
 def test_explicit_fault_list_respected():
     c = s27()
     faults = collapse_faults(c)[:5]
-    stats = run_atpg(c, faults=faults, backtrack_limit=100, max_frames=8)
+    stats = run_atpg(c, faults=faults, config=ATPGConfig(
+        mode="none", backtrack_limit=100, max_frames=8))
     assert stats.total_faults == 5
 
 
 def test_deterministic_given_seed():
     c = figure1()
-    a = run_atpg(c, backtrack_limit=10, max_frames=4, fill_seed=3,
-                 max_faults=15)
-    b = run_atpg(c, backtrack_limit=10, max_frames=4, fill_seed=3,
-                 max_faults=15)
+    config = ATPGConfig(mode="none", backtrack_limit=10, max_frames=4,
+                        fill_seed=3, max_faults=15)
+    a = run_atpg(c, config=config)
+    b = run_atpg(c, config=config)
     assert a.detected == b.detected
     assert a.untestable == b.untestable
     assert a.aborted == b.aborted

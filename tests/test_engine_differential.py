@@ -34,6 +34,7 @@ from repro.atpg import (
 from repro.atpg.driver import ATPGStats
 from repro.circuit import industrial_like, random_circuit, retime_circuit
 from repro.core import learn
+from repro.flow import ATPGConfig
 
 MODES = ("none", "known", "forbidden")
 
@@ -113,10 +114,12 @@ def test_atpg_stats_identical(kind, seed, mode):
     learned = learn(circuit) if mode != "none" else None
     rows = {}
     for engine in ("reference", "incremental"):
-        rows[engine] = run_atpg(
-            circuit, learned=learned, mode=mode, backtrack_limit=8,
-            max_frames=4, max_faults=20, keep_sequences=True,
-            atpg_engine=engine)
+        rows[engine] = run_atpg(circuit, learned=learned,
+                                config=ATPGConfig(
+                                    mode=mode, backtrack_limit=8,
+                                    max_frames=4, max_faults=20,
+                                    keep_sequences=True,
+                                    atpg_engine=engine))
     assert _stats_key(rows["reference"]) == _stats_key(rows["incremental"])
 
 

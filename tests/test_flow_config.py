@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import LearnConfig
 from repro.flow import ATPGConfig, ConfigError, ReproConfig
+from repro.flow.config import _from_dict
 
 
 def test_atpg_config_defaults_valid():
@@ -17,13 +18,13 @@ def test_atpg_config_defaults_valid():
     {"backtrack_limit": 0},
     {"max_frames": 0},
     {"max_faults": 0},
-    {"sim_width": 0},
-    {"sim_width": -4},
+    {"sim_backend": "array"},
+    {"atpg_engine": "turbo"},
     # Mistyped values: a bool is not an int, None only where Optional.
     {"backtrack_limit": "x"},
     {"max_frames": None},
     {"max_faults": 2.5},
-    {"sim_width": True},
+    {"keep_sequences": 1},
 ])
 def test_atpg_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
@@ -33,28 +34,21 @@ def test_atpg_config_rejects_bad_values(kwargs):
 def test_atpg_config_round_trip():
     config = ATPGConfig(mode="known", backtrack_limit=99, max_frames=4,
                         max_faults=7, fill_seed=1, keep_sequences=True,
-                        sim_width=4096)
+                        atpg_engine="reference")
     rebuilt = ATPGConfig.from_dict(config.to_dict())
     assert rebuilt == config
 
 
-def test_sim_width_is_a_pure_packing_knob():
-    """Two configs differing only in ``sim_width`` hash differently
-    (the digest walks every field) but both validate; ``None`` stays
-    the default."""
-    assert ATPGConfig().sim_width is None
-    a = ATPGConfig(sim_width=7).validate()
-    b = ATPGConfig(sim_width=4096).validate()
-    assert a.config_digest() != b.config_digest()
-
-
-def test_learn_config_width_knobs_round_trip():
-    config = LearnConfig(signature_width=4096,
-                         single_node_batch_width=256)
-    rebuilt = LearnConfig.from_dict(config.to_dict())
-    assert rebuilt == config
-    assert LearnConfig().signature_width is None
-    assert LearnConfig().single_node_batch_width is None
+@pytest.mark.parametrize("section,key", [
+    ("atpg", "sim_width"),
+    ("learn", "signature_width"),
+    ("learn", "single_node_batch_width"),
+])
+def test_removed_width_knobs_are_unknown_keys(section, key):
+    """Schema version 7 removed the packing-width knobs; a config that
+    still names one fails as an unknown key."""
+    with pytest.raises(ConfigError, match=key):
+        ReproConfig.from_dict({section: {key: None}})
 
 
 def test_atpg_config_rejects_unknown_keys():
@@ -64,9 +58,9 @@ def test_atpg_config_rejects_unknown_keys():
 
 def test_learn_config_round_trip():
     config = LearnConfig(max_frames=17, use_multi_node=False, seed=3)
-    assert LearnConfig.from_dict(config.to_dict()) == config
-    with pytest.raises(ValueError, match="unknown"):
-        LearnConfig.from_dict({"maxframes": 17})
+    assert _from_dict(LearnConfig, config.to_dict()) == config
+    with pytest.raises(ConfigError, match="unknown"):
+        _from_dict(LearnConfig, {"maxframes": 17})
 
 
 def test_repro_config_round_trip():

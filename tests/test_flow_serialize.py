@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro import figure1, learn, run_atpg, s27
+from repro import ATPGConfig, figure1, learn, run_atpg, s27
 from repro.circuit import equivalence_demo, figure2
 from repro.flow import (
     ArtifactError,
@@ -23,6 +23,7 @@ from repro.flow import (
     load_learn_result,
     save_learn_result,
 )
+from repro.flow.serialize import FORMAT_VERSION
 
 CIRCUITS = [figure1, figure2, s27, equivalence_demo]
 
@@ -122,14 +123,16 @@ def test_malformed_payload_raises_artifact_error():
 
 def test_atpg_stats_missing_keys_rejected():
     with pytest.raises(ArtifactError, match="missing required"):
-        atpg_stats_from_dict({"format": "repro/atpg-stats", "version": 1})
+        atpg_stats_from_dict({"format": "repro/atpg-stats",
+                              "version": FORMAT_VERSION})
 
 
 def test_atpg_stats_round_trip():
     circuit = figure1()
     learned = learn(circuit)
-    stats = run_atpg(circuit, learned=learned, mode="forbidden",
-                     backtrack_limit=20, max_frames=8)
+    stats = run_atpg(circuit, learned=learned,
+                     config=ATPGConfig(mode="forbidden", backtrack_limit=20,
+                                       max_frames=8, keep_sequences=True))
     data = json.loads(json.dumps(atpg_stats_to_dict(stats)))
     rebuilt = atpg_stats_from_dict(data)
     assert rebuilt == stats

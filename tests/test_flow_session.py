@@ -61,7 +61,7 @@ def test_session_matches_legacy_path(make):
     for mode in ("none", "forbidden", "known"):
         legacy = run_atpg(circuit,
                           learned=None if mode == "none" else legacy_learned,
-                          mode=mode)
+                          config=ATPGConfig(mode=mode))
         assert _comparable(session.atpg(mode)) == _comparable(legacy)
 
 

@@ -11,7 +11,8 @@ Two contracts under test:
 * **Dropping never changes a detection outcome.**  A fault the
   :mod:`repro.sim.resident` dropper has retired (by hit or discard)
   must never be reported again (no resurrection), and the cumulative
-  hit sets must match on both backends at every batch width.
+  hit sets must match subset slicing through the reference simulator
+  at any oracle batch width.
 """
 
 import random
@@ -20,6 +21,7 @@ import pytest
 
 from repro.atpg.faults import collapse_faults
 from repro.circuit import industrial_like, random_circuit, s27
+from repro.sim.compiled import make_fault_simulator
 from repro.sim.parallel import signatures
 from repro.sim.resident import SubsetResidentDropper, make_resident_dropper
 
@@ -51,7 +53,7 @@ def test_signatures_identical_across_backends(width):
 
 
 # ----------------------------------------------------------------------
-# resident dropping: no resurrection, backend and width independence
+# resident dropping: no resurrection, backend and batch independence
 # ----------------------------------------------------------------------
 def _drop_case(seed):
     circuit = industrial_like(f"drop_i{seed}", n_domains=2,
@@ -69,18 +71,22 @@ def _drop_case(seed):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("width", (None, 7))
 def test_resident_dropper_matches_subset_slicing(seed, width):
-    """Cumulative compiled-dropper hits == the reference dropper's,
-    sequence by sequence.  ``width=7`` forces many small batches on the
-    same corpus."""
+    """Cumulative compiled-dropper hits == plain subset slicing through
+    the reference fault simulator, sequence by sequence.  ``width=7``
+    runs that oracle in many small batches against the dropper's
+    built-in batch of 128."""
     circuit, faults, sequences = _drop_case(seed)
     live = list(range(len(faults)))
-    compiled = make_resident_dropper(circuit, faults, live, width=width)
-    reference = SubsetResidentDropper(circuit, faults, live,
-                                      backend="reference")
+    dropper = make_resident_dropper(circuit, faults, live)
+    oracle = make_fault_simulator(circuit, width=width,
+                                  backend="reference")
+    still_open = list(live)
     for sequence in sequences:
-        assert (sorted(compiled.drop(sequence))
-                == sorted(reference.drop(sequence)))
-    assert compiled.stats()["drop_hits"] == reference.stats()["drop_hits"]
+        hits = [still_open[local] for local in oracle.detected(
+            sequence, [faults[i] for i in still_open])]
+        still_open = [i for i in still_open if i not in hits]
+        assert sorted(dropper.drop(sequence)) == sorted(hits)
+    assert dropper.stats()["live"] == len(still_open)
 
 
 def test_dropped_fault_never_resurrects():
@@ -88,7 +94,7 @@ def test_dropped_fault_never_resurrects():
     call may report it again."""
     circuit, faults, sequences = _drop_case(1)
     live = list(range(len(faults)))
-    dropper = make_resident_dropper(circuit, faults, live, width=5)
+    dropper = make_resident_dropper(circuit, faults, live)
     retired = set()
     # Interleave external discards with drops so both retirement paths
     # run against the same corpus.
