@@ -1,4 +1,4 @@
-"""``repro.api`` -- the versioned request/plan/execute boundary.
+"""``repro.api`` -- the versioned request/execute boundary.
 
 One stable surface for every client.  Build a typed request, hand it to
 :func:`execute`, get back a versioned response envelope::
@@ -19,7 +19,6 @@ Module map:
 
 * :mod:`repro.api.requests`  -- typed request kinds, canonical JSON,
   ``config_digest``
-* :mod:`repro.api.planner`   -- request -> executable task DAG
 * :mod:`repro.api.executor`  -- :func:`execute`, :class:`Response`
 * :mod:`repro.api.events`    -- streaming ProgressEvent / StageEvent /
   ResultEvent protocol
@@ -56,7 +55,6 @@ from .events import (
     StageEvent,
 )
 from .executor import Response, execute
-from .planner import Plan, TaskNode, plan_request
 from .requests import (
     PRIORITY_CLASSES,
     REQUEST_KINDS,
@@ -85,7 +83,7 @@ __all__ = [
     "StatsRequest", "AnalyzeRequest", "ListRequest", "REQUEST_KINDS",
     "request_from_dict",
     # execution
-    "Response", "execute", "Plan", "TaskNode", "plan_request",
+    "Response", "execute",
     # events
     "Event", "EventSink", "ProgressEvent", "StageEvent", "ResultEvent",
     # store

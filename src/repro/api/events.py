@@ -1,13 +1,12 @@
 """Unified streaming event protocol for pipeline execution.
 
-Before the API boundary existed every surface had its own liveness
-channel: ``Session`` progress hooks fired raw ``(stage, event,
-payload)`` tuples, suites threaded the same tuples through a
-multiprocessing queue (:class:`~repro.flow.parallel_suite.
-QueueProgressAdapter`), and the CLI pattern-matched on them inline.
-This module is the one shape all of those now reduce to: an
-:func:`execute` caller passes a single ``events`` callable and receives
-typed, JSON-serializable event objects.
+The pipeline engines speak raw ``(stage, event, payload)`` progress
+tuples, and every one of them comes from the
+:class:`~repro.flow.session.PipelineSession` that ran the stage (a
+parallel suite's workers record theirs and the parent replays them in
+input order).  This module gives those tuples their one typed shape:
+an :func:`execute` caller passes a single ``events`` callable and
+receives typed, JSON-serializable event objects.
 
 * :class:`ProgressEvent` -- a stage started, ticked, or ended.  Ticks
   are throttled liveness beats inside long ATPG loops

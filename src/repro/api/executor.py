@@ -2,10 +2,14 @@
 
 Every surface -- the CLI, the ``repro serve`` daemon, Python callers,
 pool workers -- funnels through this function.  It validates the
-request, compiles it into a :class:`~repro.api.planner.Plan`, runs the
-plan on a :class:`~repro.flow.session.PipelineSession` (suites on the
-:mod:`repro.flow.parallel_suite` pool), streams typed events, and
-returns a versioned response envelope::
+request, hands it to its kind's handler -- the one place that states
+which stages the request runs -- and returns a versioned response
+envelope.  The handler runs its stages on a
+:class:`~repro.flow.session.PipelineSession` (suites on the
+:mod:`repro.flow.parallel_suite` pool); the stages' progress reaches
+the ``events`` sink through one
+:class:`~repro.flow.session.StageTracker`, the only source of progress
+events::
 
     {"schema_version": 1, "command": "<kind>", "ok": true, ...result}
     {"schema_version": 1, "command": "<kind>", "ok": false,
@@ -39,14 +43,7 @@ from ..flow.session import (
     run_suite,
 )
 from .errors import RequestError, classify_error
-from .events import (
-    EventSink,
-    ProgressEvent,
-    ResultEvent,
-    emit,
-    progress_hook_for,
-)
-from .planner import Plan, plan_request
+from .events import EventSink, ResultEvent, emit, progress_hook_for
 from .requests import (
     SCHEMA_VERSION,
     ATPGRequest,
@@ -136,11 +133,6 @@ def _learn_stage(session: PipelineSession,
     return result, digest
 
 
-def _emit_plan(sink: Optional[EventSink], plan: Plan) -> None:
-    emit(sink, ProgressEvent(stage="plan", status="end",
-                             payload=plan.summary()))
-
-
 def _finish(request: Request, payload: Dict[str, object],
             exit_code: int = 0) -> Response:
     if getattr(request, "canonical", False):
@@ -153,11 +145,9 @@ def _finish(request: Request, payload: Dict[str, object],
 # per-kind handlers
 # ----------------------------------------------------------------------
 def _run_learn(request: LearnRequest, tracker: StageTracker,
-               store: Optional[ArtifactStore],
-               sink: Optional[EventSink]) -> Response:
+               store: Optional[ArtifactStore]) -> Response:
     session = _session_for(request, tracker)
     circuit = session.circuit
-    _emit_plan(sink, plan_request(request, circuit, store))
     result, digest = _learn_stage(session, store)
     if request.save:
         save_learn_result(result, request.save, digest=digest)
@@ -189,11 +179,9 @@ def _run_learn(request: LearnRequest, tracker: StageTracker,
 
 
 def _run_untestable(request: UntestableRequest, tracker: StageTracker,
-                    store: Optional[ArtifactStore],
-                    sink: Optional[EventSink]) -> Response:
+                    store: Optional[ArtifactStore]) -> Response:
     session = _session_for(request, tracker)
     circuit = session.circuit
-    _emit_plan(sink, plan_request(request, circuit, store))
     _learn_stage(session, store)
     session.untestable_screen()
     payload = session.report()
@@ -202,11 +190,9 @@ def _run_untestable(request: UntestableRequest, tracker: StageTracker,
 
 
 def _run_atpg(request: ATPGRequest, tracker: StageTracker,
-              store: Optional[ArtifactStore],
-              sink: Optional[EventSink]) -> Response:
+              store: Optional[ArtifactStore]) -> Response:
     session = _session_for(request, tracker)
     circuit = session.circuit
-    _emit_plan(sink, plan_request(request, circuit, store))
     # An explicit artifact is always loaded (a stale one fails loudly
     # even for the 'none' baseline); otherwise learning runs -- via the
     # store when available -- only when a learning mode needs it.
@@ -223,8 +209,7 @@ def _run_atpg(request: ATPGRequest, tracker: StageTracker,
 
 
 def _run_faultsim(request: FaultSimRequest, tracker: StageTracker,
-                  store: Optional[ArtifactStore],
-                  sink: Optional[EventSink]) -> Response:
+                  store: Optional[ArtifactStore]) -> Response:
     # Grading replays the generated vectors, so they must be kept --
     # forced here so every surface (daemon, Python, CLI) gets a working
     # faultsim by default.  The report shows the effective config.
@@ -233,7 +218,6 @@ def _run_faultsim(request: FaultSimRequest, tracker: StageTracker,
                                   keep_sequences=True))
     session = _session_for(request, tracker, config=config)
     circuit = session.circuit
-    _emit_plan(sink, plan_request(request, circuit, store))
     modes = request.modes or (request.config.atpg.mode,)
     if any(mode != "none" for mode in modes):
         _learn_stage(session, store)
@@ -245,13 +229,11 @@ def _run_faultsim(request: FaultSimRequest, tracker: StageTracker,
 
 
 def _run_compare(request: CompareRequest, tracker: StageTracker,
-                 store: Optional[ArtifactStore],
-                 sink: Optional[EventSink]) -> Response:
+                 store: Optional[ArtifactStore]) -> Response:
     from ..atpg.driver import compare_modes
 
     session = _session_for(request, tracker)
     circuit = session.circuit
-    _emit_plan(sink, plan_request(request, circuit, store))
     learned, _ = _learn_stage(session, store)
 
     def stage() -> list:
@@ -272,9 +254,7 @@ def _run_compare(request: CompareRequest, tracker: StageTracker,
 
 
 def _run_suite(request: SuiteRequest, tracker: StageTracker,
-               store: Optional[ArtifactStore],
-               sink: Optional[EventSink]) -> Response:
-    _emit_plan(sink, plan_request(request, None, store))
+               store: Optional[ArtifactStore]) -> Response:
     report = run_suite(list(request.specs), config=request.config,
                        modes=list(request.modes), progress=tracker)
     if request.out:
@@ -287,8 +267,7 @@ def _run_suite(request: SuiteRequest, tracker: StageTracker,
 
 
 def _run_shard(request: ShardRequest, tracker: StageTracker,
-               store: Optional[ArtifactStore],
-               sink: Optional[EventSink]) -> Response:
+               store: Optional[ArtifactStore]) -> Response:
     from ..atpg.driver import prepare_fault_list
     from ..dist.shards import make_fault_shards, run_fault_shard
 
@@ -297,7 +276,6 @@ def _run_shard(request: ShardRequest, tracker: StageTracker,
                                   mode=request.mode))
     session = _session_for(request, tracker, config=config)
     circuit = session.circuit
-    _emit_plan(sink, plan_request(request, circuit, store))
     learned: Optional[LearnResult] = None
     if request.mode != "none":
         # learned_digest pins which artifact the coordinator scheduled;
@@ -336,11 +314,9 @@ def _run_shard(request: ShardRequest, tracker: StageTracker,
 
 
 def _run_stats(request: StatsRequest, tracker: StageTracker,
-               store: Optional[ArtifactStore],
-               sink: Optional[EventSink]) -> Response:
+               store: Optional[ArtifactStore]) -> Response:
     session = _session_for(request, tracker)
     circuit = session.circuit
-    _emit_plan(sink, plan_request(request, circuit, store))
     payload: Dict[str, object] = {"circuit": circuit.name,
                                   "fingerprint": circuit.fingerprint()}
     payload.update(circuit.stats())
@@ -350,13 +326,11 @@ def _run_stats(request: StatsRequest, tracker: StageTracker,
 
 
 def _run_analyze(request: AnalyzeRequest, tracker: StageTracker,
-                 store: Optional[ArtifactStore],
-                 sink: Optional[EventSink]) -> Response:
+                 store: Optional[ArtifactStore]) -> Response:
     from ..analysis import analyze_state_space
 
     session = _session_for(request, tracker)
     circuit = session.circuit
-    _emit_plan(sink, plan_request(request, circuit, store))
     space = session.run_stage(
         "analyze",
         lambda: analyze_state_space(circuit, max_ffs=request.max_ffs),
@@ -371,11 +345,9 @@ def _run_analyze(request: AnalyzeRequest, tracker: StageTracker,
 
 
 def _run_list(request: ListRequest, tracker: StageTracker,
-              store: Optional[ArtifactStore],
-              sink: Optional[EventSink]) -> Response:
+              store: Optional[ArtifactStore]) -> Response:
     from ..circuit import builtin_names
 
-    _emit_plan(sink, plan_request(request, None, store))
     return Response(kind=request.KIND,
                     result={"circuits": builtin_names()})
 
@@ -434,8 +406,7 @@ def execute(request: Union[Request, Dict[str, object]], *,
             stage = "parse" if isinstance(exc, RequestError) else "config"
             raise classify_error(exc, stage=stage) from exc
         kind = request.KIND
-        response = _HANDLERS[request.KIND](request, tracker, store,
-                                           events)
+        response = _HANDLERS[request.KIND](request, tracker, store)
     except BrokenPipeError:  # the caller's pipe broke; not our failure
         raise
     except Exception as exc:

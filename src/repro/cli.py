@@ -51,25 +51,14 @@ from .api import (
     UntestableRequest,
     execute,
 )
-from .circuit.netlist import Circuit
 from .core import LearnConfig
 from .flow import (
     ATPG_ENGINES,
     ATPG_MODES,
     SIM_BACKENDS,
     ATPGConfig,
-    CircuitResolveError,
     ReproConfig,
 )
-from .flow.session import resolve_circuit as _resolve_circuit
-
-
-def resolve_circuit(spec: str, retime: int = 0) -> Circuit:
-    """Turn a CLI circuit spec into a Circuit (SystemExit on bad specs)."""
-    try:
-        return _resolve_circuit(spec, retime)
-    except CircuitResolveError as exc:
-        raise SystemExit(f"repro: error: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -503,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 def _suite_progress_sink(event) -> None:
     """Mirror the historical suite progress lines (stage ends only)."""
-    if (isinstance(event, ProgressEvent) and event.status == "end"
-            and event.stage != "plan"):
+    if isinstance(event, ProgressEvent) and event.status == "end":
         print(f"  {event.stage}: {event.payload}")
 
 

@@ -1,8 +1,8 @@
 """R004 -- schema drift needs a ``SCHEMA_VERSION`` bump.
 
-The wire contract of the request/plan/execute API is the set of
+The wire contract of the request/execute API is the set of
 dataclass fields in modules that declare a top-level
-``SCHEMA_VERSION``.  Old journals, cached plans and remote peers all
+``SCHEMA_VERSION``.  Old journals and remote peers both
 key on that version: changing a field without bumping it silently
 reinterprets persisted payloads.  The rule compares the live AST
 against a committed manifest (``schema_manifest.json`` next to the

@@ -42,7 +42,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..atpg.driver import prepare_fault_list
@@ -55,7 +55,9 @@ from ..flow.session import (
     resolve_circuit,
 )
 from ..flow.serialize import write_json_atomic
+from ..api.errors import ReproError, RequestError
 from ..api.executor import Response
+from ..api.framing import JSONRequestHandler
 from ..api.requests import (
     SCHEMA_VERSION,
     LearnRequest,
@@ -529,50 +531,25 @@ class CoordinatorServer(ThreadingHTTPServer):
         }
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JSONRequestHandler):
     server: CoordinatorServer  # typing aid; http.server sets this
 
-    def log_message(self, format: str, *args) -> None:
-        pass  # same quiet contract as the api server
+    max_body_bytes = MAX_BODY_BYTES
 
-    # ------------------------------------------------------------------
-    def _send(self, status: int, payload: bytes,
-              content_type: str = "application/json") -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        self._send(status,
-                   (json.dumps(payload, indent=1) + "\n").encode())
-
-    def _read_body(self) -> Optional[bytes]:
+    def _read_object(self) -> Optional[dict]:
+        """The body as a JSON object, or None once a 4xx is sent."""
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            self._send_json(400, {"ok": False,
-                                  "error": "bad Content-Length"})
-            return None
-        return self.rfile.read(length)
-
-    def _read_json(self) -> Optional[dict]:
-        body = self._read_body()
-        if body is None:
-            return None
-        try:
-            data = json.loads(body or b"null")
-        except ValueError:
-            self._send_json(400, {"ok": False, "error": "invalid JSON"})
-            return None
-        if not isinstance(data, dict):
-            self._send_json(400, {"ok": False,
-                                  "error": "body must be an object"})
+            data = self._read_json()
+            if not isinstance(data, dict):
+                raise RequestError(
+                    "request body must be a JSON object", stage="http")
+        except ReproError as error:
+            self._respond_error(error)
             return None
         return data
+
+    def _no_endpoint(self) -> None:
+        self._send_not_found(f"no such endpoint {self.path!r}")
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server contract)
@@ -584,23 +561,20 @@ class _Handler(BaseHTTPRequestHandler):
             digest = self.path[len(ARTIFACT_PREFIX):]
             payload = self.server.store.get_learn_payload(digest)
             if payload is None:
-                self._send_json(404, {"ok": False,
-                                      "error": f"no artifact {digest}"})
+                self._send_not_found(f"no artifact {digest}")
             else:
                 self._send(200, payload)
         else:
-            self._send_json(404, {
-                "ok": False,
-                "error": f"no such endpoint {self.path!r}"})
+            self._no_endpoint()
 
     def do_PUT(self) -> None:  # noqa: N802 (http.server contract)
         if not self.path.startswith(ARTIFACT_PREFIX):
-            self._send_json(404, {
-                "ok": False,
-                "error": f"no such endpoint {self.path!r}"})
+            self._no_endpoint()
             return
-        body = self._read_body()
-        if body is None:
+        try:
+            body = self._read_body()
+        except ReproError as error:
+            self._respond_error(error)
             return
         digest = self.path[len(ARTIFACT_PREFIX):]
         stored = self.server.store.put_learn_payload(digest, body)
@@ -608,7 +582,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 (http.server contract)
         job = self.server.job
-        data = self._read_json()
+        data = self._read_object()
         if data is None:
             return
         worker_id = str(data.get("worker_id", "unknown"))
@@ -620,15 +594,13 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == COMPLETE_PATH:
             envelope = data.get("response")
             if not isinstance(envelope, dict):
-                self._send_json(400, {
-                    "ok": False, "error": "missing response envelope"})
+                self._respond_error(RequestError(
+                    "missing response envelope", stage="http"))
                 return
             self._send_json(200, job.complete(
                 worker_id, str(data.get("unit_id", "")), envelope))
         else:
-            self._send_json(404, {
-                "ok": False,
-                "error": f"no such endpoint {self.path!r}"})
+            self._no_endpoint()
 
 
 def make_coordinator(specs: Sequence[str],

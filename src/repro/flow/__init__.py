@@ -34,8 +34,6 @@ from .config import (
 from .serialize import (
     ArtifactError,
     StaleArtifactError,
-    atpg_stats_from_dict,
-    atpg_stats_to_dict,
     circuit_fingerprint,
     learn_result_from_dict,
     learn_result_to_dict,
@@ -54,7 +52,6 @@ from .session import (
     run_suite,
 )
 from .parallel_suite import (
-    QueueProgressAdapter,
     SuiteError,
     SuiteTask,
     SuiteTaskResult,
@@ -65,13 +62,12 @@ __all__ = [
     "ATPG_ENGINES", "ATPG_MODES", "SIM_BACKENDS", "ATPGConfig",
     "ConfigError", "ReproConfig", "canonical_json", "normalize_jobs",
     "ArtifactError", "StaleArtifactError",
-    "atpg_stats_from_dict", "atpg_stats_to_dict",
     "circuit_fingerprint",
     "learn_result_from_dict", "learn_result_to_dict",
     "load_learn_result", "save_learn_result", "write_json_atomic",
     "CircuitResolveError", "PipelineSession", "StageRecord",
     "StageTracker", "SuiteReport", "canonicalize_volatile",
     "resolve_circuit", "run_suite",
-    "QueueProgressAdapter", "SuiteError", "SuiteTask",
+    "SuiteError", "SuiteTask",
     "SuiteTaskResult", "run_suite_parallel",
 ]

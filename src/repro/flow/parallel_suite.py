@@ -15,17 +15,21 @@ layer behind ``run_suite(jobs=N)`` / ``repro suite --jobs N``:
   :class:`SuiteTaskResult`: either the session report or an
   ``{"spec", "error", "stage"}`` record.  A failing circuit never takes
   the suite down.
-* :class:`QueueProgressAdapter` -- workers forward their ``progress``
-  events into a multiprocessing queue; a parent-side drain thread
-  replays them through the caller's ordinary
-  :data:`~repro.flow.session.ProgressHook`.  Events from different
-  workers interleave in completion order (they are UI, not data).
 * :func:`run_suite_parallel` -- the pool driver.  Results are merged by
   input index, so ``SuiteReport.reports`` / ``.errors`` come out in
   spec order and the report content is identical to a serial run for
   every worker count (byte-identical via
   :meth:`~repro.flow.session.SuiteReport.canonical_dict`, which zeroes
   only wall-clock fields).
+
+Progress has one source, the session that ran the stage.  A worker
+records its task's ``(stage, event, payload)`` tuples on the
+:class:`SuiteTaskResult` it sends back, and the parent replays them
+through the caller's :data:`~repro.flow.session.ProgressHook` as it
+collects results in input order.  When no worker dies, a pool run
+therefore emits exactly the serial run's event sequence -- a task's
+events arrive when the task is collected rather than live, and no
+queue or thread carries them.
 
 Workers are separate processes, so each warms its *own* compiled-kernel
 cache (:func:`repro.sim.compiled.warm_cache`): the exec-generated
@@ -50,10 +54,9 @@ which never pickles, would run it).
 from __future__ import annotations
 
 import multiprocessing
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..circuit.netlist import Circuit
@@ -66,7 +69,6 @@ from .session import (
     SuiteReport,
     error_record,
 )
-
 
 
 class SuiteError(RuntimeError):
@@ -97,6 +99,11 @@ class SuiteTaskResult:
     index: int
     report: Optional[Dict[str, object]] = None
     error: Optional[Dict[str, str]] = None
+    #: The task's progress events, ``(stage, event, payload)`` in the
+    #: order the session emitted them (filled in pool workers only; the
+    #: serial path delivers them live).
+    events: List[Tuple[str, str, Optional[dict]]] = field(
+        default_factory=list)
 
 
 def run_task(task: SuiteTask,
@@ -132,98 +139,14 @@ def run_task(task: SuiteTask,
             error=error_record(task.spec, str(exc), tracker.stage))
 
 
-# ----------------------------------------------------------------------
-# worker-side plumbing
-# ----------------------------------------------------------------------
-_worker_queue = None
-
-
-def _init_worker(progress_queue) -> None:
-    """Pool initializer: remember the parent's progress queue, if any."""
-    global _worker_queue
-    _worker_queue = progress_queue
-
-
-def _run_task_in_worker(task: SuiteTask) -> SuiteTaskResult:
-    progress: Optional[ProgressHook] = None
-    if _worker_queue is not None:
-        queue = _worker_queue
-
-        def progress(stage: str, event: str,
-                     payload: Optional[dict]) -> None:
-            queue.put((stage, event, payload))
-
-    return run_task(task, progress)
-
-
-# ----------------------------------------------------------------------
-# parent-side plumbing
-# ----------------------------------------------------------------------
-class QueueProgressAdapter:
-    """Replay worker progress events through a parent-side hook.
-
-    Workers ``put`` raw ``(stage, event, payload)`` tuples on
-    :attr:`queue`; :meth:`start` spins up a drain thread that calls the
-    wrapped hook with the unchanged serial signature.  :meth:`close`
-    (idempotent) flushes the queue, stops the thread and releases the
-    queue's feeder resources -- events already enqueued are always
-    delivered before ``close`` returns.
-    """
-
-    _SENTINEL = None
-
-    def __init__(self, hook: ProgressHook, ctx=None):
-        self.hook = hook
-        self.queue = (ctx or multiprocessing.get_context()).Queue()
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-
-    def start(self) -> None:
-        if self._thread is None and not self._closed:
-            self._thread = threading.Thread(
-                target=self._drain, name="repro-suite-progress",
-                daemon=True)
-            self._thread.start()
-
-    #: How long close() waits for the drain thread.  A worker killed
-    #: mid-``put`` can leave the queue's shared pipe lock held forever;
-    #: progress is UI, so after this deadline the daemon thread is
-    #: abandoned rather than hanging the suite.
-    CLOSE_TIMEOUT_S = 5.0
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._thread is not None:
-            self.queue.put(self._SENTINEL)
-            self._thread.join(timeout=self.CLOSE_TIMEOUT_S)
-            self._thread = None
-        # Never block on the queue's feeder either (its pipe lock may
-        # be held by a dead worker); any still-buffered events are UI.
-        self.queue.cancel_join_thread()
-        self.queue.close()
-
-    def _drain(self) -> None:
-        while True:
-            try:
-                item = self.queue.get()
-                if item is self._SENTINEL:
-                    return
-                stage, event, payload = item
-            except Exception:
-                # A worker killed mid-put corrupted the stream; stop
-                # draining (remaining progress events are lost, the
-                # suite is not) rather than risk spinning on a dead
-                # pipe.
-                return
-            try:
-                self.hook(stage, event, payload)
-            except Exception:
-                # A throwing UI hook must not wedge the drain thread
-                # (and with it close()); the pipeline result is
-                # unaffected either way.
-                pass
+def _run_task_recorded(task: SuiteTask) -> SuiteTaskResult:
+    """Pool entry point: :func:`run_task` with its events recorded."""
+    events: List[Tuple[str, str, Optional[dict]]] = []
+    result = run_task(
+        task, lambda stage, event, payload:
+        events.append((stage, event, payload)))
+    result.events = events
+    return result
 
 
 def run_suite_parallel(specs: Sequence[Union[str, Circuit]],
@@ -250,10 +173,10 @@ def run_suite_parallel(specs: Sequence[Union[str, Circuit]],
              for index, spec in enumerate(specs)]
 
     ctx = multiprocessing.get_context()
-    adapter = (QueueProgressAdapter(progress, ctx)
-               if progress is not None else None)
+    # Replayed events pass through a tracker so a throwing hook stays
+    # UI-only, exactly as on the serial path.
+    replay = StageTracker(progress)
     results: Dict[int, SuiteTaskResult] = {}
-    initargs = (adapter.queue if adapter is not None else None,)
 
     def dispatch_error(task: SuiteTask, exc: BaseException) -> None:
         # The worker catches pipeline failures itself, so anything that
@@ -270,52 +193,47 @@ def run_suite_parallel(specs: Sequence[Union[str, Circuit]],
         left unresolved (culprit and innocent alike), in input order."""
         tainted: List[SuiteTask] = []
         with ProcessPoolExecutor(max_workers=min(workers, len(batch)),
-                                 mp_context=ctx,
-                                 initializer=_init_worker,
-                                 initargs=initargs) as pool:
+                                 mp_context=ctx) as pool:
             futures = []
             for task in batch:
                 try:
                     futures.append(
-                        (pool.submit(_run_task_in_worker, task), task))
+                        (pool.submit(_run_task_recorded, task), task))
                 except BrokenProcessPool:
                     tainted.append(task)
                 except Exception as exc:
                     dispatch_error(task, exc)
-            # Workers fork/spawn during submit; starting the drain
-            # thread after keeps pool creation single-threaded.
-            if adapter is not None:
-                adapter.start()
             for future, task in futures:
                 try:
-                    results[task.index] = future.result()
+                    result = future.result()
                 except BrokenProcessPool:
                     tainted.append(task)
+                    continue
                 except Exception as exc:
                     dispatch_error(task, exc)
+                    continue
+                results[task.index] = result
+                for stage, event, payload in result.events:
+                    replay(stage, event, payload)
         return sorted(tainted, key=lambda task: task.index)
 
-    try:
-        suspects = run_batch(tasks, jobs) if tasks else []
-        if suspects:
-            # One wide retry first: a single death taints every
-            # in-flight pool-mate, and most of those are innocents that
-            # should keep running in parallel, not one-at-a-time.
-            suspects = run_batch(suspects, jobs)
-        # Whatever a fresh pool still could not finish gets a solo
-        # single-worker pool: a task that breaks its own pool is
-        # definitively the one that killed it.
-        for task in suspects:
-            if run_batch([task], 1):
-                results[task.index] = SuiteTaskResult(
-                    index=task.index,
-                    error=error_record(
-                        task.spec,
-                        "worker process died while running this circuit",
-                        "worker"))
-    finally:
-        if adapter is not None:
-            adapter.close()
+    suspects = run_batch(tasks, jobs) if tasks else []
+    if suspects:
+        # One wide retry first: a single death taints every in-flight
+        # pool-mate, and most of those are innocents that should keep
+        # running in parallel, not one-at-a-time.
+        suspects = run_batch(suspects, jobs)
+    # Whatever a fresh pool still could not finish gets a solo
+    # single-worker pool: a task that breaks its own pool is
+    # definitively the one that killed it.
+    for task in suspects:
+        if run_batch([task], 1):
+            results[task.index] = SuiteTaskResult(
+                index=task.index,
+                error=error_record(
+                    task.spec,
+                    "worker process died while running this circuit",
+                    "worker"))
 
     report = SuiteReport()
     first_error: Optional[Dict[str, str]] = None

@@ -1,4 +1,4 @@
-"""JSON round-trip for learning artifacts and ATPG statistics.
+"""JSON round-trip for learning artifacts.
 
 The paper's whole point is *learn once, reuse everywhere*: the learned
 implications, ties and equivalences are circuit invariants, so a
@@ -8,9 +8,7 @@ it a stable on-disk form:
 
 * :func:`learn_result_to_dict` / :func:`learn_result_from_dict` -- plain
   dicts, node references by *name* (human-diffable artifacts);
-* :func:`save_learn_result` / :func:`load_learn_result` -- JSON files;
-* :func:`atpg_stats_to_dict` / :func:`atpg_stats_from_dict` -- the same
-  for :class:`~repro.atpg.driver.ATPGStats`.
+* :func:`save_learn_result` / :func:`load_learn_result` -- JSON files.
 
 Every artifact is keyed to the circuit's structural
 :meth:`~repro.circuit.netlist.Circuit.fingerprint`.  Loading against a
@@ -30,7 +28,6 @@ import json
 import os
 from typing import Dict, List, Optional
 
-from ..atpg.driver import ATPGStats
 from ..circuit.netlist import Circuit, CircuitError
 from ..core.engine import LearnConfig, LearnResult
 from ..core.multi_node import MultiNodeStats
@@ -38,13 +35,13 @@ from ..core.relations import RelationDB
 from ..core.ties import TieSet
 from .config import _from_dict
 
-#: Bumped whenever the artifact layout changes incompatibly.
-#: Version 2 dropped the width knobs (``signature_width``,
-#: ``single_node_batch_width``) from the saved learning config.
+#: Version of the learning-artifact layout, bumped whenever it changes
+#: incompatibly.  Version 2 dropped the width knobs
+#: (``signature_width``, ``single_node_batch_width``) from the saved
+#: learning config.
 FORMAT_VERSION = 2
 
 LEARN_FORMAT = "repro/learn-result"
-STATS_FORMAT = "repro/atpg-stats"
 
 
 class ArtifactError(ValueError):
@@ -282,50 +279,3 @@ def load_learn_result(path, circuit: Circuit,
             raise ArtifactError(f"{path}: not valid JSON ({exc})") from exc
     return learn_result_from_dict(data, circuit,
                                   expect_digest=expect_digest)
-
-
-# ----------------------------------------------------------------------
-# ATPGStats
-# ----------------------------------------------------------------------
-def atpg_stats_to_dict(stats: ATPGStats) -> Dict[str, object]:
-    """Serializable form of one ATPG run's aggregate statistics."""
-    return {
-        "format": STATS_FORMAT,
-        "version": FORMAT_VERSION,
-        "circuit": stats.circuit,
-        "mode": stats.mode,
-        "backtrack_limit": stats.backtrack_limit,
-        "total_faults": stats.total_faults,
-        "detected": stats.detected,
-        "untestable": stats.untestable,
-        "aborted": stats.aborted,
-        "collateral": stats.collateral,
-        "decisions": stats.decisions,
-        "backtracks": stats.backtracks,
-        "cpu_s": stats.cpu_s,
-        "sequences_total": stats.sequences_total,
-        "sequences": [list(seq) for seq in stats.sequences],
-    }
-
-
-def atpg_stats_from_dict(data: Dict[str, object]) -> ATPGStats:
-    """Inverse of :func:`atpg_stats_to_dict`."""
-    _check_header(data, STATS_FORMAT)
-    missing = {"circuit", "mode", "backtrack_limit"} - set(data)
-    if missing:
-        raise ArtifactError(
-            f"stats artifact missing required keys: {sorted(missing)}")
-    return ATPGStats(
-        circuit=data["circuit"],
-        mode=data["mode"],
-        backtrack_limit=data["backtrack_limit"],
-        total_faults=data.get("total_faults", 0),
-        detected=data.get("detected", 0),
-        untestable=data.get("untestable", 0),
-        aborted=data.get("aborted", 0),
-        collateral=data.get("collateral", 0),
-        decisions=data.get("decisions", 0),
-        backtracks=data.get("backtracks", 0),
-        cpu_s=data.get("cpu_s", 0.0),
-        sequences_total=data.get("sequences_total", 0),
-        sequences=[list(seq) for seq in data.get("sequences", ())])

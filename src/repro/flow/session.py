@@ -81,16 +81,19 @@ def error_record(spec, error: str, stage: str) -> Dict[str, str]:
 class StageTracker:
     """Progress passthrough that remembers the innermost started stage.
 
-    Suite runners wrap the user's hook in one of these so a mid-pipeline
-    failure can be attributed to the stage that was running
-    (``SuiteReport.errors[*]["stage"]``).  Before any stage starts the
-    position is ``"config"`` -- the only work that happens there is
-    session construction, i.e. config validation.
+    Every progress event passes through one of these on its way to the
+    caller's hook.  :func:`repro.api.execute` and the suite runners
+    wrap the hook in one so a mid-pipeline failure can be attributed to
+    the stage that was running (``SuiteReport.errors[*]["stage"]``);
+    the parallel suite replays its workers' recorded events through
+    one.  Before any stage starts the position is ``"config"`` -- the
+    only work that happens there is session construction, i.e. config
+    validation.
 
     Progress hooks are UI, not data: an exception thrown by the wrapped
-    hook is suppressed here, exactly as the parallel path's queue drain
-    thread suppresses it, so a broken hook can never make serial and
-    sharded suite reports diverge.
+    hook is suppressed here, on the serial and the replay path alike,
+    so a broken hook can never make serial and sharded suite reports
+    diverge.
     """
 
     def __init__(self, inner: Optional[ProgressHook] = None,

@@ -33,22 +33,20 @@ ledger: ``/v1/health`` derives its served/failed counts from it.
 
 from __future__ import annotations
 
-import json
 import os
-import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from ..api.errors import (
     HTTP_STATUS_BY_CODE,
     OverloadFailure,
-    PayloadTooLarge,
     ReproError,
     RequestError,
 )
-from ..api.executor import Response, execute
+from ..api.executor import execute
+from ..api.framing import JSONRequestHandler, error_reply
 from ..api.requests import PRIORITY_CLASSES, REQUEST_KINDS, SCHEMA_VERSION
 from ..api.store import ArtifactStore
 from ..sim.compiled import compile_cache_stats
@@ -191,40 +189,10 @@ class ReproServer(ThreadingHTTPServer):
         return out
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JSONRequestHandler):
     server: ReproServer  # typing aid; http.server sets this
 
-    #: Per-socket-operation timeout: a sender that stalls forever
-    #: mid-body (or mid-chunk) is cut loose instead of pinning a
-    #: worker thread.
-    timeout = 60.0
-
-    #: Silence the default per-request stderr lines; a daemon serving
-    #: concurrent traffic should not interleave access logs with the
-    #: owner's terminal.  Errors still surface as error envelopes.
-    def log_message(self, format: str, *args) -> None:
-        pass
-
-    # ------------------------------------------------------------------
-    def _send(self, status: int, payload_bytes: bytes,
-              content_type: str = "application/json",
-              headers: Optional[Dict[str, str]] = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload_bytes)))
-        for name in sorted(headers or {}):
-            self.send_header(name, headers[name])
-        self.end_headers()
-        self.wfile.write(payload_bytes)
-
-    def _send_json(self, status: int, payload: dict,
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        self._send(status, (json.dumps(payload, indent=1) + "\n").encode(),
-                   headers=headers)
-
-    def _respond_error(self, error: ReproError) -> None:
-        status, body, _headers = _error_reply(error)
-        self._send(status, body)
+    max_body_bytes = MAX_BODY_BYTES
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server contract)
@@ -247,15 +215,10 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(200, self.server.metrics_payload())
         else:
-            self._send_json(404, {
-                "schema_version": SCHEMA_VERSION,
-                "ok": False,
-                "error": {"code": "parse", "stage": "http",
-                          "message": f"no such endpoint {self.path!r}; "
-                                     "POST /v1/execute, /v1/stream, "
-                                     "/v1/cancel; GET /v1/health, "
-                                     "/v1/kinds, /v1/metrics"},
-            })
+            self._send_not_found(f"no such endpoint {self.path!r}; "
+                                 "POST /v1/execute, /v1/stream, "
+                                 "/v1/cancel; GET /v1/health, "
+                                 "/v1/kinds, /v1/metrics")
 
     def do_POST(self) -> None:  # noqa: N802 (http.server contract)
         if self.path == "/v1/cancel":
@@ -274,84 +237,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.do_GET()  # reuse the 404 envelope
 
     # ------------------------------------------------------------------
-    # body reading (Content-Length and chunked, both bounded)
-    # ------------------------------------------------------------------
-    def _read_body(self) -> bytes:
-        encoding = (self.headers.get("Transfer-Encoding") or "").lower()
-        if "chunked" in encoding:
-            return self._read_chunked()
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise RequestError(
-                "Content-Length is not an integer", stage="http")
-        if length < 0:
-            raise RequestError(
-                "Content-Length must be >= 0", stage="http")
-        if length > MAX_BODY_BYTES:
-            raise PayloadTooLarge(
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit", stage="http")
-        return self.rfile.read(length)
-
-    def _read_chunked(self) -> bytes:
-        """Strict, bounded chunked-transfer decoding.
-
-        ``http.server`` never decodes chunked bodies itself; without
-        this, a chunked POST would be misread as an empty body.  Any
-        malformation is a 400 (:class:`RequestError`); exceeding
-        :data:`MAX_BODY_BYTES` across chunks is a 413 -- never a bare
-        connection drop.
-        """
-        parts = []
-        total = 0
-        while True:
-            line = self.rfile.readline(34)
-            if not line.endswith(b"\n"):
-                raise RequestError(
-                    "malformed chunked body: oversized or truncated "
-                    "chunk-size line", stage="http")
-            size_token = line.strip().split(b";", 1)[0]
-            try:
-                size = int(size_token, 16)
-            except ValueError:
-                raise RequestError(
-                    f"malformed chunked body: bad chunk size "
-                    f"{size_token!r}", stage="http")
-            if size < 0:
-                raise RequestError(
-                    "malformed chunked body: negative chunk size",
-                    stage="http")
-            total += size
-            if total > MAX_BODY_BYTES:
-                raise PayloadTooLarge(
-                    f"chunked request body exceeds the "
-                    f"{MAX_BODY_BYTES}-byte limit", stage="http")
-            chunk = self.rfile.read(size)
-            if len(chunk) != size:
-                raise RequestError(
-                    "malformed chunked body: truncated chunk",
-                    stage="http")
-            terminator = self.rfile.read(2)
-            if terminator != b"\r\n":
-                raise RequestError(
-                    "malformed chunked body: missing CRLF after chunk "
-                    "(trailers are not supported)", stage="http")
-            if size == 0:
-                return b"".join(parts)
-            parts.append(chunk)
-
-    # ------------------------------------------------------------------
     def _handle_cancel(self) -> None:
         try:
-            body = self._read_body()
-            data = json.loads(body or b"null")
+            data = self._read_json()
         except ReproError as error:
             self._respond_error(error)
-            return
-        except json.JSONDecodeError as exc:
-            self._respond_error(RequestError(
-                f"request body is not valid JSON: {exc}", stage="http"))
             return
         request_id = (data or {}).get("request_id") \
             if isinstance(data, dict) else None
@@ -449,20 +339,16 @@ class _Handler(BaseHTTPRequestHandler):
         """
         server = self.server
         try:
-            body = self._read_body()
-            data = json.loads(body or b"null")
+            data = self._read_json()
         except ReproError as error:
-            return "error", _error_reply(error)
-        except json.JSONDecodeError as exc:
-            return "error", _error_reply(RequestError(
-                f"request body is not valid JSON: {exc}", stage="http"))
+            return "error", error_reply(error)
         if not isinstance(data, dict):
             data = {"kind": data}  # let request parsing shape the error
         kind = ctx["kind"] = str(data.get("kind"))
         if not server.allow_file_requests:
             named = [f for f in FILE_PATH_FIELDS if data.get(f)]
             if named:
-                return "error", _error_reply(RequestError(
+                return "error", error_reply(RequestError(
                     f"this server does not accept requests naming "
                     f"server-side file paths ({named}); restart it "
                     "with allow_file_requests (repro serve "
@@ -496,14 +382,14 @@ class _Handler(BaseHTTPRequestHandler):
             except OverloadFailure as error:
                 server.metrics.inc("rejections_total",
                                    {"class": priority})
-                return "rejected", _error_reply(
+                return "rejected", error_reply(
                     error, kind,
                     dict(headers, **{"Retry-After":
                                      str(error.retry_after_s)}))
             except ReproError as error:
                 # Cancelled (deadline/disconnect/explicit) while still
                 # queued: never held a slot.
-                return "cancelled", _error_reply(error, kind, headers)
+                return "cancelled", error_reply(error, kind, headers)
             server.metrics.observe(
                 "queue_wait_s", time.perf_counter() - queued_at,
                 {"class": priority})
@@ -549,14 +435,6 @@ class _Handler(BaseHTTPRequestHandler):
                            cancel=token.check)
         delivered = writer.finish(response.to_json().encode())
         return bool(response.ok and delivered)
-
-
-def _error_reply(error: ReproError, kind: str = "unknown",
-                 headers: Optional[Dict[str, str]] = None) -> tuple:
-    """``(status, body, headers)`` of one error envelope."""
-    response = Response(kind=kind, ok=False, error=error.envelope(),
-                        exit_code=1)
-    return error.http_status, response.to_json().encode(), headers
 
 
 def make_server(host: str = "127.0.0.1", port: int = 0,

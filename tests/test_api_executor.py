@@ -1,4 +1,4 @@
-"""``repro.api.execute``: envelopes, errors, events, store reuse, plan.
+"""``repro.api.execute``: envelopes, errors, events, store reuse.
 
 The redesign's core promises checked here:
 
@@ -31,7 +31,6 @@ from repro.api import (
     SuiteRequest,
     UntestableRequest,
     execute,
-    plan_request,
 )
 from repro.core import LearnConfig
 from repro.flow import ATPGConfig, PipelineSession, ReproConfig
@@ -272,9 +271,11 @@ def test_event_stream_progress_stage_result():
     stages = [e.stage for e in events if isinstance(e, StageEvent)]
     assert stages == ["resolve", "learn", "atpg[known]"]
     progress = [e for e in events if isinstance(e, ProgressEvent)]
-    assert {"start", "end"} <= {e.status for e in progress}
-    plans = [e for e in progress if e.stage == "plan"]
-    assert len(plans) == 1 and plans[0].payload["nodes"] >= 3
+    # Progress comes only from the stages the session ran: each stage
+    # starts, (maybe) ticks and ends, in order, and nothing else fires.
+    assert list(dict.fromkeys(e.stage for e in progress)) == stages
+    assert [e.stage for e in progress if e.status == "start"] == stages
+    assert [e.stage for e in progress if e.status == "end"] == stages
     ticks = [e for e in progress if e.status == "tick"]
     assert ticks and all(e.payload["done"] <= e.payload["total"]
                          for e in ticks)
@@ -298,25 +299,8 @@ def test_throwing_event_sink_does_not_affect_result():
 
 
 # ----------------------------------------------------------------------
-# plan + store
+# store
 # ----------------------------------------------------------------------
-def test_plan_marks_store_hits():
-    from repro.flow.session import resolve_circuit
-
-    store = ArtifactStore()
-    config = tiny_config()
-    request = LearnRequest(spec="figure1", config=config)
-    circuit = resolve_circuit("figure1")
-    cold = plan_request(request, circuit, store)
-    assert [n.task_id for n in cold.nodes] == ["resolve", "learn"]
-    assert not cold.nodes[1].cached
-    execute(request, store=store)
-    warm = plan_request(request, circuit, store)
-    assert warm.nodes[1].cached
-    assert warm.summary()["cached"] == 1
-    json.dumps(warm.to_dict())
-
-
 def test_store_hit_is_canonically_byte_identical_to_cold_run():
     store = ArtifactStore()
     request = ATPGRequest(spec="figure1", config=tiny_config(),

@@ -160,6 +160,12 @@ def test_error_envelopes_over_http():
         assert status == 400
         assert json.loads(body)["error"]["code"] == "parse"
 
+        # Bytes that are not text at all are the same parse error, not
+        # a dropped connection.
+        status, body = post(server, b"\xff\xfe{")
+        assert status == 400
+        assert json.loads(body)["error"]["stage"] == "http"
+
         status, body = post(server, json.dumps(
             {"kind": "atpg", "spec": "like:nope"}).encode())
         assert status == 404
@@ -177,7 +183,7 @@ def test_error_envelopes_over_http():
         assert status == 404
 
         status, health = get(server, "/v1/health")
-        assert json.loads(health)["requests_failed"] == 3
+        assert json.loads(health)["requests_failed"] == 4
 
 
 def test_daemon_suite_request_matches_one_shot():

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from repro.cli import _COMMANDS, build_parser, main, resolve_circuit
+from repro.cli import _COMMANDS, build_parser, main
 from repro.flow import ReproConfig
+from repro.flow.session import resolve_circuit
 
 
 def test_list(capsys):

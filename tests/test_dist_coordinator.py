@@ -7,8 +7,9 @@ The HTTP layer is exercised at the bottom with a real bound server.
 
 import json
 import os
+import socket
 import threading
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 
 import pytest
 
@@ -20,7 +21,11 @@ from repro.api import (
 )
 from repro.core import LearnConfig
 from repro.core.engine import learn
-from repro.dist.coordinator import DistJob, make_coordinator
+from repro.dist.coordinator import (
+    MAX_BODY_BYTES,
+    DistJob,
+    make_coordinator,
+)
 from repro.dist.protocol import (
     COMPLETE_PATH,
     HEALTH_PATH,
@@ -356,6 +361,76 @@ def test_http_rejects_garbage():
         status, _ = http_bytes("POST", server.url, LEASE_PATH,
                                b"not json")
         assert status == 400
+
+
+def raw_http(server, request_bytes: bytes):
+    """Send raw request bytes; return (status, JSON body)."""
+    host, port = server.server_address[:2]
+    with closing(socket.create_connection((host, port),
+                                          timeout=30)) as sock:
+        sock.sendall(request_bytes)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+def post_raw(server, path: str, headers: bytes, body: bytes = b""):
+    return raw_http(server, (f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+                             .encode() + headers + b"\r\n" + body))
+
+
+def assert_http_error(payload, code: str, fragment: str):
+    assert payload["ok"] is False
+    assert payload["error"]["code"] == code
+    assert payload["error"]["stage"] == "http"
+    assert fragment in payload["error"]["message"]
+
+
+def test_http_chunked_lease_post_is_decoded():
+    good = json.dumps({"worker_id": "w1"}).encode()
+    with running_coordinator() as server:
+        status, grant = post_raw(
+            server, LEASE_PATH, b"Transfer-Encoding: chunked\r\n",
+            (b"%x\r\n" % len(good)) + good + b"\r\n0\r\n\r\n")
+        assert status == 200
+        assert grant["unit"]["unit_id"].endswith(":learn")
+        assert server.job.status()["leased"] == 1
+
+
+def test_http_malformed_bodies_are_error_envelopes():
+    with running_coordinator() as server:
+        status, payload = post_raw(server, LEASE_PATH,
+                                   b"Content-Length: ten\r\n")
+        assert status == 400
+        assert_http_error(payload, "parse", "not an integer")
+
+        body = b"[1, 2]"
+        status, payload = post_raw(
+            server, LEASE_PATH,
+            b"Content-Length: %d\r\n" % len(body), body)
+        assert status == 400
+        assert_http_error(payload, "parse", "JSON object")
+
+        status, payload = post_raw(
+            server, LEASE_PATH, b"Content-Length: %d\r\n"
+            % (MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert_http_error(payload, "too_large", str(MAX_BODY_BYTES))
+
+        status, payload = http_json("GET", server.url, "/nope")
+        assert status == 404
+        assert_http_error(payload, "parse", "no such endpoint")
+        status, payload = http_json("POST", server.url, COMPLETE_PATH,
+                                    {"worker_id": "w1", "unit_id": "x"})
+        assert status == 400
+        assert_http_error(payload, "parse", "missing response envelope")
+        # Nothing was leased by the rejected requests.
+        assert server.job.status()["leased"] == 0
 
 
 def test_artifact_endpoint_round_trip(tmp_path):

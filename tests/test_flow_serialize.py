@@ -1,4 +1,4 @@
-"""JSON artifact round-trips for learning results and ATPG stats.
+"""JSON artifact round-trips for learning results.
 
 The load-bearing properties: (1) a saved-then-loaded LearnResult carries
 exactly the same relations/ties/equivalences and still passes the
@@ -10,20 +10,17 @@ import json
 
 import pytest
 
-from repro import ATPGConfig, figure1, learn, run_atpg, s27
+from repro import figure1, learn, s27
 from repro.circuit import equivalence_demo, figure2
 from repro.flow import (
     ArtifactError,
     StaleArtifactError,
-    atpg_stats_from_dict,
-    atpg_stats_to_dict,
     circuit_fingerprint,
     learn_result_from_dict,
     learn_result_to_dict,
     load_learn_result,
     save_learn_result,
 )
-from repro.flow.serialize import FORMAT_VERSION
 
 CIRCUITS = [figure1, figure2, s27, equivalence_demo]
 
@@ -119,24 +116,6 @@ def test_malformed_payload_raises_artifact_error():
     tampered["relations"][0]["a"] = "NOT_A_NODE"
     with pytest.raises(ArtifactError, match="node"):
         learn_result_from_dict(tampered, circuit)
-
-
-def test_atpg_stats_missing_keys_rejected():
-    with pytest.raises(ArtifactError, match="missing required"):
-        atpg_stats_from_dict({"format": "repro/atpg-stats",
-                              "version": FORMAT_VERSION})
-
-
-def test_atpg_stats_round_trip():
-    circuit = figure1()
-    learned = learn(circuit)
-    stats = run_atpg(circuit, learned=learned,
-                     config=ATPGConfig(mode="forbidden", backtrack_limit=20,
-                                       max_frames=8, keep_sequences=True))
-    data = json.loads(json.dumps(atpg_stats_to_dict(stats)))
-    rebuilt = atpg_stats_from_dict(data)
-    assert rebuilt == stats
-    assert rebuilt.row() == stats.row()
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.flow import (
     run_suite_parallel,
 )
 from repro.flow.parallel_suite import run_task
+from repro.flow.session import canonicalize_volatile
 
 #: Worker count exercised by the pool tests.  Clamped to >= 2: these
 #: are pool-path tests, and jobs=1 would silently take the serial path
@@ -232,13 +233,50 @@ def test_parallel_progress_events_are_aggregated():
               progress=lambda s, e, p: events.append((s, e, p)))
     starts = [s for s, e, _p in events if e == "start"]
     ends = [(s, p) for s, e, p in events if e == "end"]
-    # Per circuit: resolve, learn, atpg[known]; interleaving across
-    # workers is free, the multiset of events is not.
+    # Per circuit: resolve, learn, atpg[known].
     assert sorted(starts) == sorted(
         ["resolve", "learn", "atpg[known]"] * 2)
     assert len(ends) == 6
     resolved = {p["circuit"] for s, p in ends if s == "resolve"}
     assert resolved == {"figure1", "s27"}
+
+
+def progress_sequence(specs, jobs):
+    """The ``(stage, event, payload)`` stream of one suite run, with
+    its timing fields zeroed."""
+    events = []
+    run_suite(specs, config=tiny_config(), modes=("known",), jobs=jobs,
+              progress=lambda s, e, p: events.append(
+                  (s, e, canonicalize_volatile(p))))
+    return events
+
+
+def test_pool_progress_sequence_equals_serial():
+    # Each worker's recorded events are replayed in input order, so a
+    # pool run emits the serial run's exact sequence -- the failing
+    # circuit's partial events included.
+    specs = ["figure1", "s27", "like:bogus"]
+    serial = progress_sequence(specs, 1)
+    assert serial[-1] == ("resolve", "start", None)
+    assert progress_sequence(specs, JOBS) == serial
+
+
+def test_pool_progress_starts_no_thread_of_ours(monkeypatch):
+    import threading
+
+    started = []
+    real_start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        return real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    events = progress_sequence(["figure1", "s27"], JOBS)
+    assert len(events) == 12
+    # The pool's own management threads are not ours; no progress
+    # relay thread runs beside them.
+    assert not [name for name in started if name.startswith("repro")]
 
 
 def test_throwing_progress_hook_is_ui_only_in_both_paths():
