@@ -1,8 +1,12 @@
 """Shared helpers for the paper-reproduction benchmarks.
 
 Each ``bench_tableN.py`` regenerates one table of the paper; rows are
-printed (run ``pytest benchmarks/ --benchmark-only -s`` to see them) and
-also appended to ``benchmarks/results/`` as text for EXPERIMENTS.md.
+printed and also written to ``benchmarks/results/`` as text.  pytest
+collects only ``test_*.py`` by default, so run them with (``-s`` shows
+the tables)::
+
+    PYTHONPATH=src python -m pytest benchmarks -o python_files='bench_*.py' \
+        --benchmark-disable -q
 """
 
 import os

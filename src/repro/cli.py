@@ -32,6 +32,8 @@ the same request document.
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
 from typing import List, Optional
 
@@ -569,9 +571,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                           store_dir=args.store,
                           announce=lambda message:
                               print(message, file=sys.stderr))
-    # Request faults come back as error envelopes from execute();
-    # BrokenPipeError (e.g. `repro ... | head`) propagates as-is.
-    return _dispatch(args)
+    # Request faults come back as error envelopes from execute().
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`repro ... | head`): exit quietly with
+        # the shell's status for a SIGPIPE death, and point stdout at
+        # /dev/null so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + signal.SIGPIPE
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

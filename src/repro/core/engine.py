@@ -17,6 +17,16 @@
 The result carries the relation database (invalid-state FF-FF relations
 plus gate-FF relations), the tie set, timing, and a Monte-Carlo
 :meth:`LearnResult.validate` oracle used heavily by the test suite.
+
+``sim_backend`` picks how the phases simulate.  With 'compiled' (the
+default) single-node injections and multiple-node targets run as bit
+columns of batched compiled two-plane runs, and equivalence signatures
+come from the compiled pattern kernel; with 'reference' every injection
+and target goes through the event-driven
+:class:`~repro.sim.eventsim.FrameSimulator`, the oracle the batched
+paths are tested against.  Both store relations in the same order
+(ascending node id within each injection or target), so the learned
+knowledge is identical.
 """
 
 from __future__ import annotations
@@ -156,9 +166,10 @@ class SequentialLearner:
     """Run the full learning flow on one circuit.
 
     ``sim_backend`` selects the pattern simulator behind equivalence
-    signatures and the plane evaluator behind batched single-node runs
-    ('reference' or 'compiled', see :mod:`repro.sim.compiled`);
-    learned knowledge is bit-identical for every backend.
+    signatures and whether single-node and multiple-node runs are
+    batched on the compiled plane evaluator ('compiled') or run one by
+    one on the event simulator ('reference'); learned knowledge is
+    bit-identical for every backend.
     """
 
     def __init__(self, circuit: Circuit,
@@ -229,7 +240,8 @@ class SequentialLearner:
                     simulator, data, db, ties,
                     max_frames=cfg.max_frames,
                     max_targets=cfg.multi_node_max_targets,
-                    store_gate_gate=cfg.store_gate_gate)
+                    store_gate_gate=cfg.store_gate_gate,
+                    backend=self.sim_backend)
                 multi_stats.targets_run += stats.targets_run
                 multi_stats.targets_skipped += stats.targets_skipped
                 multi_stats.relations_added += stats.relations_added

@@ -12,6 +12,15 @@ the union of the two input supports (skipped, i.e. rejected, when the
 support exceeds ``max_support`` -- soundness is never traded for yield,
 since every learned relation must hold on the real circuit).
 Complemented pairs (a == NOT b) are detected and used the same way.
+The exhaustive truth-table columns come in closed form from
+:func:`repro.sim.parallel.exhaustive_masks` (one bigint expression per
+variable), so verification costs the cone evaluation alone.
+
+The multiple-node phase couples the classes into simulation: a value
+on one member is copied to every member.  The batched compiled path of
+:mod:`repro.core.multi_node` reaches the same values as the event
+simulator by re-running each frame with every class's union planes
+patched onto its members until no member gains a bit.
 """
 
 from __future__ import annotations

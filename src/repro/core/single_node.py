@@ -168,19 +168,24 @@ def _batched_runs(simulator: FrameSimulator, stems: List[int],
         for value in (ZERO, ONE):
             if derived is None or derived == value:
                 pairs.append((stem, value))
-    # Per-FF transfer permissions, split by captured value; the rule
-    # table (clock-domain class, multi-port, set/reset kinds) lives in
-    # one place only: the event simulator's ``_transfer_ok``.
-    ff_allow: List[Tuple[bool, bool]] = []
-    for fid in cc.ffs:
-        node = circuit.nodes[fid]
-        ff_allow.append((simulator._transfer_ok(node, ZERO),
-                         simulator._transfer_ok(node, ONE)))
+    ff_allow = ff_transfer_allow(simulator, cc)
     out: Dict[Tuple[int, int], InjectionResult] = {}
     for start in range(0, len(pairs), width):
         out.update(_run_batch(cc, pairs[start:start + width],
                               max_frames, ff_allow))
     return out
+
+
+def ff_transfer_allow(simulator: FrameSimulator, cc
+                      ) -> List[Tuple[bool, bool]]:
+    """Per FF of ``cc.ffs``: may a captured 0, and a captured 1, cross it?
+
+    The rule table (clock-domain class, multi-port, set/reset kinds)
+    lives in one place only: the event simulator's ``_transfer_ok``.
+    """
+    nodes = simulator.circuit.nodes
+    return [(simulator._transfer_ok(nodes[fid], ZERO),
+             simulator._transfer_ok(nodes[fid], ONE)) for fid in cc.ffs]
 
 
 def _run_batch(cc, batch: List[Tuple[int, int]], max_frames: int,

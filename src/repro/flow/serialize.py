@@ -38,8 +38,11 @@ from .config import _from_dict
 #: Version of the learning-artifact layout, bumped whenever it changes
 #: incompatibly.  Version 2 dropped the width knobs
 #: (``signature_width``, ``single_node_batch_width``) from the saved
-#: learning config.
-FORMAT_VERSION = 2
+#: learning config.  Version 3 stores multiple-node relations in
+#: ascending node id within each target's insertions, so an older
+#: artifact is a store miss rather than a hit that differs from a cold
+#: run.
+FORMAT_VERSION = 3
 
 LEARN_FORMAT = "repro/learn-result"
 

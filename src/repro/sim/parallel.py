@@ -103,16 +103,17 @@ def exhaustive_masks(variables: Sequence[int], width: int
 
     ``width`` must be ``2 ** len(variables)``; variable j's mask has bit i
     set iff (i >> j) & 1.  Used for exact equivalence verification over a
-    small support.
+    small support.  Each mask is built in closed form: with ``b = 2 ** j``
+    it repeats ``b`` zeros then ``b`` ones, i.e. the block
+    ``((1 << b) - 1) << b`` times the repunit ``full // ((1 << 2b) - 1)``
+    that places one copy every ``2b`` bits.
     """
     assert width == 1 << len(variables)
+    full = (1 << width) - 1
     masks = {}
     for j, var in enumerate(variables):
-        mask = 0
-        for i in range(width):
-            if (i >> j) & 1:
-                mask |= 1 << i
-        masks[var] = mask
+        b = 1 << j
+        masks[var] = (full // ((1 << 2 * b) - 1)) * (((1 << b) - 1) << b)
     return masks
 
 

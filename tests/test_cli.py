@@ -2,6 +2,9 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -219,3 +222,24 @@ def test_suite_bad_spec_exits_nonzero_and_keeps_going(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["circuits"] == 1
     assert payload["errors"][0]["stage"] == "resolve"
+
+
+@pytest.mark.parametrize("argv", (["list"], ["stats", "figure1", "--json"],
+                                  ["suite", "figure1", "s27", "--mode",
+                                   "known", "--max-faults", "10"]))
+def test_closed_stdout_exits_quietly(argv):
+    """`repro ... | head`: the reader goes away before the output is
+    written, and the CLI ends with the SIGPIPE status and no traceback."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")
+           + (os.pathsep + path if path else "")}
+    proc = subprocess.Popen([sys.executable, "-m", "repro", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 128 + signal.SIGPIPE
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
