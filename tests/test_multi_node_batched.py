@@ -24,16 +24,18 @@ from test_backend_differential import CASES, _build
 WIDTHS = (1, 7, 64, 128, 257)
 
 
-def _learn(monkeypatch, circuit, store_gate_gate, **forced):
-    """Learn with the compiled backend, the multi-node phase run with
-    the ``forced`` keywords (they win over the engine's own)."""
+def _learn(monkeypatch, circuit, store_gate_gate, backend="compiled",
+           width=multi_node.DEFAULT_COMPILED_BATCH):
+    """Learn with the compiled backend, the multi-node phase run on
+    ``backend`` with ``width`` columns per batch."""
     def run_multi_node(*args, **kwargs):
-        return multi_node.run_multi_node(*args, **{**kwargs, **forced})
+        return multi_node.run_multi_node(*args,
+                                         **{**kwargs, "backend": backend})
 
-    monkeypatch.setattr(engine, "run_multi_node", run_multi_node)
-    result = learn(circuit, LearnConfig(store_gate_gate=store_gate_gate))
-    monkeypatch.undo()
-    return result
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "run_multi_node", run_multi_node)
+        patch.setattr(multi_node, "DEFAULT_COMPILED_BATCH", width)
+        return learn(circuit, LearnConfig(store_gate_gate=store_gate_gate))
 
 
 def _knowledge(result):
@@ -51,7 +53,7 @@ def test_batched_multi_node_identical(monkeypatch, kind, seed,
     reference = _learn(monkeypatch, circuit, store_gate_gate,
                        backend="reference")
     batched = _learn(monkeypatch, circuit, store_gate_gate,
-                     backend="compiled", batch_width=width)
+                     width=width)
     assert _knowledge(batched) == _knowledge(reference)
     assert batched.multi_stats == reference.multi_stats
 
@@ -66,9 +68,9 @@ def test_corpus_exercises_conflicts_and_equivalence_repasses(monkeypatch):
         repasses.append(out is not None)
         return out
 
+    monkeypatch.setattr(multi_node, "_class_patches", counting)
     conflicts = 0
     for kind, seed in CASES[::5]:
-        monkeypatch.setattr(multi_node, "_class_patches", counting)
         conflicts += len(_learn(monkeypatch, _build(kind, seed), False)
                          .multi_stats.conflicts)
     assert conflicts > 0
