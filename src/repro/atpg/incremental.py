@@ -41,7 +41,14 @@ and moves it incrementally:
 * **maintained D-sets** -- the set of fault-effect nodes per frame is
   updated alongside the planes, so detection checks, the D-frontier and
   the X-path search iterate over actual fault effects instead of
-  scanning every node of every frame.
+  scanning every node of every frame;
+* **trail-scoped backtrace memo** -- a backtrace dead end found while
+  selecting one target stays known for every later objective of the
+  step and every deeper decision, and is forgotten exactly when the
+  decision it was found under is popped (see below);
+* **precomputed fanin orders** -- the backtrace visits X fanins in
+  per-node orders sorted once per circuit by SCOAP, instead of sorting
+  them on every visit.
 
 Correctness leans on two facts.  Three-valued gate evaluation is
 *monotone* in the information order (a decision can only refine X to a
@@ -52,13 +59,29 @@ same fixpoint as full re-evaluation.  And the faulty plane is kept
 exists iff faulty differs from good), so frame states are pure
 functions of the assignments and compare with ``==``.
 
+Target selection reuses work on the same grounds.  A backtrace
+``walk(frame, node, value)`` fails exactly when no unassigned PI can be
+reached from ``(frame, node)`` through X nodes (one frame back at each
+FF, never past frame 0).  That does not depend on ``value`` or on the
+objective, and it stays true under every deeper decision, because
+three-valued evaluation and the round-bounded implication fixpoints
+only refine X.  So :meth:`_podem` keeps one insertion-ordered memo per
+window: a decision records the memo size when it is pushed, and popping
+the decision truncates the memo back to that mark, so only dead ends
+found under the decisions still on the trail survive.  The fanin orders
+are exact too: filtering a stable-sorted fanin list by "is X" gives the
+order of stable-sorting the X subset, which is what the reference
+computes, and the forbidden-mode preference is a stable partition of
+that list.
+
 Flat circuit structure (fanin tuples, topo positions, per-node
-combinational fanouts, FF data pairs, the frame kernel) is lowered once
-per circuit -- reusing :func:`repro.sim.compiled.compile_circuit`'s
-cached lowering -- and shared by every engine instance via a
-fingerprint-keyed, lock-guarded cache; only circuits PODEM runs on pay
-for the kernel.  Fault cones ride on the circuit-level
-``transitive_fanout`` memo.
+combinational fanouts, fanout/sequential pairs, output flags, backtrace
+step kinds and fanin orders, FF data pairs, the frame kernel) is
+lowered once per circuit -- reusing
+:func:`repro.sim.compiled.compile_circuit`'s cached lowering -- and
+shared by every engine instance via a fingerprint-keyed, lock-guarded
+cache; only circuits PODEM runs on pay for the kernel.  Fault cones
+ride on the circuit-level ``transitive_fanout`` memo.
 """
 
 from __future__ import annotations
@@ -68,7 +91,15 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..circuit.gates import X, eval_gate, inv
+from ..circuit.gates import (
+    CONTROLLING_VALUE,
+    GateType,
+    ONE,
+    X,
+    ZERO,
+    eval_gate,
+    inv,
+)
 from ..circuit.netlist import Circuit
 from ..core.relations import RelationDB
 from ..sim.compiled import (
@@ -78,14 +109,41 @@ from ..sim.compiled import (
 )
 from .engine import SequentialATPG, _faulty_value, _good_value
 from .faults import Fault, fault_site_source
+from .scoap import compute_testability
+
+
+#: Backtrace step kinds (:attr:`_CircuitIndex.bt_kind`).
+_BT_INPUT, _BT_SEQ, _BT_DEAD, _BT_NOT, _BT_BUF, _BT_XOR, _BT_XNOR, \
+    _BT_GATE = range(8)
+
+
+def _bt_kind(node) -> int:
+    """The backtrace step of ``node``, in the reference's test order."""
+    if node.is_input:
+        return _BT_INPUT
+    if node.is_sequential:
+        return _BT_SEQ
+    t = node.gate_type
+    if t is GateType.TIE0 or t is GateType.TIE1:
+        return _BT_DEAD
+    if t is GateType.NOT:
+        return _BT_NOT
+    if t is GateType.BUF:
+        return _BT_BUF
+    if t is GateType.XOR:
+        return _BT_XOR
+    if t is GateType.XNOR:
+        return _BT_XNOR
+    return _BT_GATE
 
 
 class _CircuitIndex:
     """Flat per-circuit structure shared by every incremental engine."""
 
     __slots__ = ("circuit", "n", "gtype", "fanins", "comb_fanouts",
-                 "topo_pos", "ff_pairs", "inputs", "outputs", "is_comb",
-                 "frame_kernel")
+                 "fanout_pairs", "topo_pos", "ff_pairs", "inputs",
+                 "outputs", "is_output", "is_comb", "bt_kind", "bt_first",
+                 "bt_second", "frame_kernel")
 
     def __init__(self, circuit: Circuit):
         cc = compile_circuit(circuit)  # cached opcode/fanin lowering
@@ -103,6 +161,10 @@ class _CircuitIndex:
             tuple(fo for fo in node.fanouts
                   if nodes[fo].is_combinational)
             for node in nodes]
+        #: Every fanout with its "is sequential" flag (X-path search).
+        self.fanout_pairs: List[Tuple[Tuple[int, bool], ...]] = [
+            tuple((fo, nodes[fo].is_sequential) for fo in node.fanouts)
+            for node in nodes]
         self.topo_pos = [0] * cc.n
         for pos, nid in enumerate(circuit.topo_order):
             self.topo_pos[nid] = pos
@@ -111,7 +173,32 @@ class _CircuitIndex:
             zip(cc.ffs, cc.ff_data))
         self.inputs = cc.inputs
         self.outputs = frozenset(cc.outputs)
+        self.is_output: List[bool] = [n.is_output for n in nodes]
         self.is_comb: List[bool] = [n.is_combinational for n in nodes]
+        # Backtrace fanin orders: the reference sorts the X fanins by a
+        # static SCOAP key on every visit; filtering a stable-sorted
+        # fanin list by "is X" gives exactly that order.  ``bt_first``
+        # serves XOR/XNOR (easiest first) and the gates whose objective
+        # needs one controlling input (easiest first), ``bt_second`` the
+        # gates that need every input non-controlling (hardest first).
+        tst = compute_testability(circuit)
+        cc0, cc1 = tst.cc0, tst.cc1
+        self.bt_kind: List[int] = [_bt_kind(node) for node in nodes]
+        self.bt_first: List[Tuple[int, ...]] = [()] * cc.n
+        self.bt_second: List[Tuple[int, ...]] = [()] * cc.n
+        for nid, kind in enumerate(self.bt_kind):
+            fanins = self.fanins[nid]
+            if kind == _BT_XOR or kind == _BT_XNOR:
+                self.bt_first[nid] = tuple(sorted(
+                    fanins, key=lambda f: min(cc0[f], cc1[f])))
+            elif kind == _BT_GATE:
+                control = CONTROLLING_VALUE[self.gtype[nid]]
+                easy = cc0 if control == ZERO else cc1
+                hard = cc0 if control == ONE else cc1
+                self.bt_first[nid] = tuple(sorted(
+                    fanins, key=lambda f: easy[f]))
+                self.bt_second[nid] = tuple(sorted(
+                    fanins, key=lambda f: -hard[f]))
         #: Fresh-frame good/faulty evaluation (see ``_eval_fresh_frame``);
         #: compiled here rather than with the simulator kernels so that
         #: only circuits PODEM actually runs on pay for it.
@@ -208,6 +295,10 @@ class IncrementalATPG(SequentialATPG):
         self._state_fault: Optional[Fault] = None
         self._assignments: Dict[Tuple[int, int], int] = {}
         self._trail: List[_TrailEntry] = []
+        #: Backtrace dead ends of the running search, keyed
+        #: ``frame * n + nid`` in insertion order (trail-scoped by
+        #: :meth:`_podem`).
+        self._dead: Dict[int, None] = {}
         #: Fault origin -> its cone's gates in topological order.
         self._cone_gates_cache: Dict[int, Tuple[int, ...]] = {}
         #: frame -> (its implication buckets, their antecedent node ids
@@ -237,7 +328,11 @@ class IncrementalATPG(SequentialATPG):
                ) -> Tuple[str, Dict[Tuple[int, int], int]]:
         state = self._prepare(fault, window)
         assignments = self._assignments
-        stack: List[Tuple[Tuple[int, int], int, bool]] = []
+        # The backtrace dead-end memo lives with the trail: each stack
+        # entry keeps the memo size at its push, and popping the entry
+        # drops every dead end recorded since (see the module docstring).
+        dead = self._dead = {}
+        stack: List[Tuple[Tuple[int, int], int, bool, int]] = []
         while True:
             step = "decide"
             if state.conflict:
@@ -253,22 +348,24 @@ class IncrementalATPG(SequentialATPG):
                 else:
                     key, value = target
                     assignments[key] = value
-                    stack.append((key, value, False))
+                    stack.append((key, value, False, len(dead)))
                     decisions[0] += 1
                     self._apply(fault, key, value)
                     continue
             # Backtrack: pop the trail instead of re-simulating.
             flipped = False
             while stack:
-                key, value, tried = stack.pop()
+                key, value, tried, mark = stack.pop()
                 del assignments[key]
                 self._undo()
+                while len(dead) > mark:
+                    dead.popitem()
                 if not tried:
                     budget[0] -= 1
                     if budget[0] < 0:
                         return "aborted", dict(assignments)
                     assignments[key] = inv(value)
-                    stack.append((key, inv(value), True))
+                    stack.append((key, inv(value), True, mark))
                     self._apply(fault, key, inv(value))
                     flipped = True
                     break
@@ -729,7 +826,7 @@ class IncrementalATPG(SequentialATPG):
                 shadow[nid] = out
 
     # ------------------------------------------------------------------
-    # search guidance over maintained D-sets
+    # search guidance over maintained D-sets and flat index arrays
     # ------------------------------------------------------------------
     def _detected(self, state: _IncWindow, window: int) -> bool:
         outputs = self._idx.outputs
@@ -739,69 +836,196 @@ class IncrementalATPG(SequentialATPG):
                 return True
         return False
 
+    def _activated(self, state: _IncWindow, window: int, fault: Fault
+                   ) -> Optional[int]:
+        src = fault_site_source(self.circuit, fault)
+        excite = inv(fault.value)
+        gvs = state.gv
+        for frame in range(window):
+            if gvs[frame][src] == excite:
+                return frame
+        return None
+
     def _d_frontier(self, state: _IncWindow, window: int, fault: Fault
                     ) -> List[Tuple[int, int]]:
-        circuit = self.circuit
-        nodes = circuit.nodes
+        comb_fanouts = self._idx.comb_fanouts
         out: List[Tuple[int, int]] = []
-        src = fault_site_source(circuit, fault)
+        src = fault_site_source(self.circuit, fault)
+        site = fault.node
+        pin_fault = fault.pin is not None
+        excite = inv(fault.value)
         for frame in range(window):
             gv = state.gv[frame]
+            fv = state.fv[frame]
             for nid in sorted(state.dset[frame]):
-                for fo in nodes[nid].fanouts:
-                    fo_node = nodes[fo]
-                    if fo_node.is_combinational and (
-                            gv[fo] == X or state.faulty(frame, fo) == X):
+                for fo in comb_fanouts[nid]:
+                    # Faulty value X: good X, or an X entry in ``fv``.
+                    if gv[fo] == X or fv.get(fo) == X:
                         out.append((frame, fo))
-            if fault.pin is not None and gv[src] == inv(fault.value):
-                if gv[fault.node] == X or \
-                        state.faulty(frame, fault.node) == X:
-                    out.append((frame, fault.node))
+            if pin_fault and gv[src] == excite and (
+                    gv[site] == X or fv.get(site) == X):
+                out.append((frame, site))
         return out
 
     def _has_potential(self, state: _IncWindow, window: int,
                        fault: Fault) -> bool:
-        circuit = self.circuit
-        src = fault_site_source(circuit, fault)
-        activated = self._activated(state, window, fault) is not None
-        if not activated:
+        src = fault_site_source(self.circuit, fault)
+        excite = inv(fault.value)
+        gvs = state.gv
+        if self._activated(state, window, fault) is None:
             for frame in range(window):
-                if state.gv[frame][src] == X:
+                if gvs[frame][src] == X:
                     return True
             return False
         # X-path check seeded from the maintained D-sets (reachability,
         # so traversal order does not affect the verdict).
+        fvs = state.fv
+        dsets = state.dset
+        is_output = self._idx.is_output
+        fanout_pairs = self._idx.fanout_pairs
         seen: Set[Tuple[int, int]] = set()
         stack: List[Tuple[int, int]] = []
         for frame in range(window):
-            for nid in state.dset[frame]:
+            for nid in dsets[frame]:
                 stack.append((frame, nid))
         if fault.pin is not None:
             for frame in range(window):
-                if state.gv[frame][src] == inv(fault.value):
+                if gvs[frame][src] == excite:
                     stack.append((frame, fault.node))
         while stack:
-            frame, nid = stack.pop()
-            if (frame, nid) in seen:
+            item = stack.pop()
+            if item in seen:
                 continue
-            seen.add((frame, nid))
-            node = circuit.nodes[nid]
-            value_known = (state.gv[frame][nid] != X
-                           and state.faulty(frame, nid) != X)
-            is_effect = state.is_d(frame, nid)
-            if node.is_output and (is_effect or not value_known):
-                if is_effect:
-                    return True
-                if state.gv[frame][nid] == X or \
-                        state.faulty(frame, nid) == X:
-                    return True
-            if value_known and not is_effect:
-                continue
-            for fo in node.fanouts:
-                fo_node = circuit.nodes[fo]
-                if fo_node.is_sequential:
-                    if frame + 1 < window:
-                        stack.append((frame + 1, fo))
-                else:
+            seen.add(item)
+            frame, nid = item
+            if nid not in dsets[frame]:
+                good = gvs[frame][nid]
+                if good != X and fvs[frame].get(nid, good) != X:
+                    continue  # effect cannot pass through a settled non-D
+            if is_output[nid]:
+                return True  # a fault effect, or a still-X output
+            for fo, sequential in fanout_pairs[nid]:
+                if not sequential:
                     stack.append((frame, fo))
+                elif frame + 1 < window:
+                    stack.append((frame + 1, fo))
         return False
+
+    def _objectives(self, state: _IncWindow, window: int, fault: Fault):
+        src = fault_site_source(self.circuit, fault)
+        excite = inv(fault.value)
+        gvs = state.gv
+        if self._activated(state, window, fault) is not None:
+            frontier = self._d_frontier(state, window, fault)
+            co = self.testability.co
+            frontier.sort(key=lambda fn: (co[fn[1]], fn[0]))
+            fanins = self._idx.fanins
+            control_a = self._control_a
+            # The faulted pin of a branch fault is never an objective.
+            skip_gate = fault.node if fault.pin is not None else -1
+            for frame, gate in frontier:
+                control = control_a[gate]
+                want = ZERO if control is None else 1 - control
+                gv = gvs[frame]
+                for pin, fanin in enumerate(fanins[gate]):
+                    # An X fanin carries no fault effect (``is_d`` needs
+                    # a binary good value).
+                    if gv[fanin] == X and not (gate == skip_gate
+                                               and pin == fault.pin):
+                        yield (frame, fanin, want)
+        for frame in range(window):
+            if gvs[frame][src] == X:
+                yield (frame, src, excite)
+
+    def _next_target(self, state: _IncWindow, window: int, fault: Fault
+                     ) -> Optional[Tuple[Tuple[int, int], int]]:
+        dead = self._dead
+        for frame, nid, value in self._objectives(state, window, fault):
+            target = self._backtrace(state, frame, nid, value, dead)
+            if target is not None:
+                return target
+        return None
+
+    def _backtrace(self, state: _IncWindow, frame: int, nid: int,
+                   value: int, dead: Optional[Dict[int, None]] = None
+                   ) -> Optional[Tuple[Tuple[int, int], int]]:
+        """:meth:`SequentialATPG._backtrace` over flat index arrays.
+
+        Same walk, same fanin order, same target.  ``dead`` is the
+        dead-end memo (keys ``frame * n + nid``); :meth:`_next_target`
+        passes the search's trail-scoped memo, and without one the
+        memo lasts for this call only, as in the reference.
+        """
+        if dead is None:
+            dead = {}
+        idx = self._idx
+        n = idx.n
+        gvs = state.gv
+        forbs = state.forb
+        kind_a = idx.bt_kind
+        fanins_a = idx.fanins
+        first_a = idx.bt_first
+        second_a = idx.bt_second
+        control_a = self._control_a
+        invert_a = self._invert_a
+
+        def walk(frame: int, nid: int, value: int
+                 ) -> Optional[Tuple[Tuple[int, int], int]]:
+            key = frame * n + nid
+            if key in dead:
+                return None
+            gv = gvs[frame]
+            if gv[nid] != X:
+                return None  # already decided (possibly by implication)
+            kind = kind_a[nid]
+            if kind == _BT_GATE:
+                control = control_a[nid]
+                needed = 1 - value if invert_a[nid] else value
+                if needed == control:
+                    # One controlling input suffices: inputs the learned
+                    # invariants force to it (forbidden non-controlling)
+                    # first, each part easiest first.
+                    xs = [f for f in first_a[nid] if gv[f] == X]
+                    forb = forbs[frame]
+                    if forb and len(xs) > 1:
+                        non_control = 1 - control
+                        xs = ([f for f in xs
+                               if forb.get(f) == non_control]
+                              + [f for f in xs
+                                 if forb.get(f) != non_control])
+                    want = control
+                else:
+                    # Every input non-controlling: hardest first.
+                    xs = [f for f in second_a[nid] if gv[f] == X]
+                    want = 1 - control
+                for f in xs:
+                    found = walk(frame, f, want)
+                    if found is not None:
+                        return found
+            elif kind == _BT_INPUT:
+                return ((frame, nid), value)
+            elif kind == _BT_SEQ:
+                if frame > 0:
+                    found = walk(frame - 1, fanins_a[nid][0], value)
+                    if found is not None:
+                        return found
+            elif kind == _BT_NOT or kind == _BT_BUF:
+                found = walk(frame, fanins_a[nid][0],
+                             1 - value if kind == _BT_NOT else value)
+                if found is not None:
+                    return found
+            elif kind == _BT_XOR or kind == _BT_XNOR:
+                xs = [f for f in first_a[nid] if gv[f] == X]
+                parity = value ^ (1 if kind == _BT_XNOR else 0)
+                for f in fanins_a[nid]:
+                    if gv[f] == ONE:
+                        parity ^= 1
+                want = parity if len(xs) == 1 else ZERO
+                for f in xs:
+                    found = walk(frame, f, want)
+                    if found is not None:
+                        return found
+            dead[key] = None
+            return None
+
+        return walk(frame, nid, value)

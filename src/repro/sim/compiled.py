@@ -21,10 +21,14 @@ Two evaluators ride on the lowered form:
   fault dropping, detection-set compatible with
   :class:`repro.sim.faultsim.FaultSimulator`.
 
-A third generator, :func:`compile_frame_kernel`, emits the incremental
-PODEM engine's scalar three-valued frame evaluation; that engine
-compiles it on demand, so simulator lowering and :func:`warm_cache`
-never pay for it.
+Lowering compiles the pattern kernels only.  The two-plane kernels
+come in a lean variant (the fault simulator's) and a traced one
+(learning's); :meth:`CompiledCircuit.eval_planes` compiles each the
+first time it runs, so a circuit pays only for the variant its
+requests use.  A third generator, :func:`compile_frame_kernel`, emits
+the incremental PODEM engine's scalar three-valued frame evaluation;
+that engine compiles it on demand.  Simulator lowering and
+:func:`warm_cache` pay for none of these.
 
 The reference implementations stay in :mod:`repro.sim.parallel` /
 :mod:`repro.sim.faultsim`; the differential test harness pits the two
@@ -348,8 +352,9 @@ class CompiledCircuit:
         #: Planes the fault simulator reads back out of a frame.
         self._keep = set(self.outputs) | set(self.ff_data)
         self._pattern_kernels = _compile_pattern_kernels(self.schedule)
-        self._plane_kernels = _compile_plane_kernels(
-            self.schedule, self._keep, trace=False)
+        # Two-plane kernels compile on first use (:meth:`eval_planes`):
+        # fault simulation runs the lean variant, learning the traced one.
+        self._plane_kernels: Optional[List[Callable]] = None
         self._plane_kernels_traced: Optional[List[Callable]] = None
 
     # ------------------------------------------------------------------
@@ -381,7 +386,9 @@ class CompiledCircuit:
         ``fix(nid, plane0, plane1, *fanin_planes)`` (fault injection).
         The lean kernels store back only primary-output and FF-data
         planes; ``trace`` switches to variants storing every node's
-        planes (diagnostics, property tests).
+        planes (learning, diagnostics, property tests).  Each variant
+        is compiled the first time it runs; two threads racing on a
+        cold variant may both compile it, and either result serves.
         """
         if trace:
             if self._plane_kernels_traced is None:
@@ -389,6 +396,9 @@ class CompiledCircuit:
                     self.schedule, self._keep, trace=True)
             kernels = self._plane_kernels_traced
         else:
+            if self._plane_kernels is None:
+                self._plane_kernels = _compile_plane_kernels(
+                    self.schedule, self._keep, trace=False)
             kernels = self._plane_kernels
         for kernel in kernels:
             kernel(m0, m1, full, hot, fix)
@@ -451,16 +461,19 @@ def clear_compile_cache() -> None:
 
 
 def warm_cache(circuit: Circuit) -> CompiledCircuit:
-    """Pre-compile ``circuit``'s kernels in *this* process.
+    """Lower ``circuit`` and compile its pattern kernels in *this* process.
+
+    The two-plane and frame kernels are not built here: each compiles
+    the first time a request runs it (see the module docstring).
 
     The lowering cache is plain module state and therefore per-process:
     the exec-generated kernels are never pickled across a suite pool
     (:mod:`repro.flow.parallel_suite`).  A spawn-started worker begins
     with an empty cache; a fork-started worker inherits only what the
     parent had compiled before the pool started.  Workers call this
-    once per assigned circuit so compilation happens up front rather
-    than inside the first pipeline stage; in an already-warm process it
-    is a cache hit and free.
+    once per assigned circuit so lowering happens up front rather than
+    inside the first pipeline stage; in an already-warm process it is a
+    cache hit and free.
     """
     return compile_circuit(circuit)
 

@@ -33,6 +33,7 @@ from repro.atpg import (
 )
 from repro.atpg.driver import ATPGStats
 from repro.circuit import industrial_like, random_circuit, retime_circuit
+from repro.circuit.gates import ZERO
 from repro.core import learn
 from repro.flow import ATPGConfig
 
@@ -72,9 +73,8 @@ def _result_key(result):
             result.decisions, result.frames_used)
 
 
-@pytest.mark.parametrize("kind,seed", CASES)
-def test_engines_identical_per_fault(kind, seed):
-    """Both engines emit the same TestResult for every fault."""
+def _assert_engines_identical(kind, seed, *, backtrack_limit, max_frames,
+                              sample):
     circuit = _build(kind, seed)
     mode = MODES[(zlib.crc32(kind.encode()) + seed) % len(MODES)]
     relations = None
@@ -82,17 +82,39 @@ def test_engines_identical_per_fault(kind, seed):
         relations = learn(circuit).relations
     faults = collapse_faults(circuit)
     rng = random.Random(seed)
-    if len(faults) > 10:
-        faults = rng.sample(faults, 10)
+    if len(faults) > sample:
+        faults = rng.sample(faults, sample)
     reference = SequentialATPG(circuit, relations=relations, mode=mode,
-                               backtrack_limit=8, max_frames=4)
+                               backtrack_limit=backtrack_limit,
+                               max_frames=max_frames)
     incremental = IncrementalATPG(circuit, relations=relations,
-                                  mode=mode, backtrack_limit=8,
-                                  max_frames=4)
+                                  mode=mode,
+                                  backtrack_limit=backtrack_limit,
+                                  max_frames=max_frames)
     for fault in faults:
         expect = _result_key(reference.generate(fault))
         got = _result_key(incremental.generate(fault))
         assert got == expect, (mode, fault.describe(circuit))
+
+
+@pytest.mark.parametrize("kind,seed", CASES)
+def test_engines_identical_per_fault(kind, seed):
+    """Both engines emit the same TestResult for every fault."""
+    _assert_engines_identical(kind, seed, backtrack_limit=8, max_frames=4,
+                              sample=10)
+
+
+#: Every fourth case, searched deep: at 60 backtracks and 6 frames the
+#: decision trails run many levels deep, so the incremental engine's
+#: trail-scoped backtrace memo is carried across many decisions and
+#: truncated by many backtracks.
+DEEP_CASES = CASES[::4]
+
+
+@pytest.mark.parametrize("kind,seed", DEEP_CASES)
+def test_engines_identical_per_fault_deep(kind, seed):
+    _assert_engines_identical(kind, seed, backtrack_limit=60,
+                              max_frames=6, sample=8)
 
 
 def _stats_key(stats: ATPGStats):
@@ -195,6 +217,65 @@ def test_decide_backtrack_restores_exact_state(kind, seed, mode):
         engine._state = None
         engine._assignments = {}
         engine._trail = []
+
+
+class _MemoAuditATPG(IncrementalATPG):
+    """Audits the backtrace dead-end memo at every target selection.
+
+    Each memo entry is tagged with the assignments in force when it was
+    recorded.  An entry is sound for every state that extends those
+    assignments (X only refines), so at each later selection the tag
+    must be a subset of the current assignments -- an entry recorded
+    under a decision that was since popped or flipped must be gone --
+    and the entry must still be a dead end for a memo-free backtrace.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tags = {}
+        self.audited = 0
+        self.carried = 0
+
+    def _next_target(self, state, window, fault):
+        current = frozenset(self._assignments.items())
+        for key in self._dead:
+            tag = self.tags[key]
+            assert tag <= current, "memo entry outlived its decision"
+            frame, nid = divmod(key, self._idx.n)
+            assert self._backtrace(state, frame, nid, ZERO) is None
+            self.audited += 1
+            self.carried += tag < current
+        before = len(self._dead)
+        target = super()._next_target(state, window, fault)
+        for key in list(self._dead)[before:]:
+            self.tags[key] = current
+        return target
+
+
+@pytest.mark.parametrize("kind,seed,mode",
+                         [("random", 20, "none"),
+                          ("random", 23, "known"),
+                          ("industrial", 6, "forbidden"),
+                          ("retimed", 13, "none")])
+def test_backtrace_memo_is_scoped_to_the_trail(kind, seed, mode):
+    """After a backtrack no dead end recorded under the popped or
+    flipped decision survives, and results stay the reference's."""
+    circuit = _build(kind, seed)
+    relations = learn(circuit).relations if mode != "none" else None
+    reference = SequentialATPG(circuit, relations=relations, mode=mode,
+                               backtrack_limit=60, max_frames=6)
+    engine = _MemoAuditATPG(circuit, relations=relations, mode=mode,
+                            backtrack_limit=60, max_frames=6)
+    backtracks = 0
+    for fault in collapse_faults(circuit)[:12]:
+        result = engine.generate(fault)
+        assert _result_key(result) == _result_key(
+            reference.generate(fault)), fault.describe(circuit)
+        backtracks += result.backtracks
+    # Not vacuous: the searches backtracked, and dead ends recorded at
+    # shallower levels were reused deeper in the trail.
+    assert backtracks > 0
+    assert engine.carried > 0
 
 
 def test_incremental_state_matches_reference_simulation():

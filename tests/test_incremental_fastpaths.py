@@ -34,7 +34,7 @@ from repro.atpg.incremental import _CircuitIndex
 from repro.circuit import CircuitBuilder, figure1, s27
 from repro.circuit.gates import ONE, X, ZERO
 from repro.core import learn
-from repro.sim import compiled
+from repro.sim import FaultSimulator, compiled
 from test_engine_differential import CASES as DIFFERENTIAL_CASES
 from test_engine_differential import _build as _differential_circuit
 
@@ -155,6 +155,25 @@ def test_frame_kernel_is_not_built_with_the_simulator():
     circuit = _differential_circuit("random", 9)
     lowered = compiled.warm_cache(circuit)
     assert not any("frame" in name for name in vars(lowered))
+
+
+def test_lean_plane_kernels_are_built_by_fault_simulation(monkeypatch):
+    """``warm_cache`` leaves both two-plane variants unbuilt; the first
+    fault-simulation run compiles the lean one, and only that one."""
+    monkeypatch.setattr(compiled, "_CACHE", OrderedDict())
+    circuit = _differential_circuit("random", 9)
+    lowered = compiled.warm_cache(circuit)
+    assert lowered._plane_kernels is None
+    assert lowered._plane_kernels_traced is None
+    names = [circuit.nodes[i].name for i in circuit.inputs]
+    sequence = [{name: (k + j) % 2 for j, name in enumerate(names)}
+                for k in range(4)]
+    faults = collapse_faults(circuit)
+    got = compiled.CompiledFaultSimulator(circuit).detected(sequence,
+                                                            faults)
+    assert lowered._plane_kernels is not None
+    assert lowered._plane_kernels_traced is None
+    assert got == FaultSimulator(circuit).detected(sequence, faults)
 
 
 def test_circuit_index_built_once_under_concurrent_requests(monkeypatch):
