@@ -6,7 +6,7 @@ One stable surface for every client.  Build a typed request, hand it to
     from repro.api import ATPGRequest, execute
 
     response = execute(ATPGRequest(spec="s27", modes=("known",)))
-    assert response.ok and response.envelope()["schema_version"] == 2
+    assert response.ok and response.envelope()["schema_version"] == 8
     print(response.result["atpg"]["known"])
 
 The CLI is a thin argv adapter over this module; ``repro serve``
@@ -66,7 +66,6 @@ from .requests import (
     LearnRequest,
     ListRequest,
     Request,
-    ShardRequest,
     StatsRequest,
     SuiteRequest,
     UntestableRequest,
@@ -79,7 +78,7 @@ __all__ = [
     "SCHEMA_VERSION", "PRIORITY_CLASSES",
     # requests
     "Request", "LearnRequest", "UntestableRequest", "ATPGRequest",
-    "FaultSimRequest", "SuiteRequest", "ShardRequest", "CompareRequest",
+    "FaultSimRequest", "SuiteRequest", "CompareRequest",
     "StatsRequest", "AnalyzeRequest", "ListRequest", "REQUEST_KINDS",
     "request_from_dict",
     # execution

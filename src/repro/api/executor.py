@@ -53,7 +53,6 @@ from .requests import (
     LearnRequest,
     ListRequest,
     Request,
-    ShardRequest,
     StatsRequest,
     SuiteRequest,
     UntestableRequest,
@@ -266,53 +265,6 @@ def _run_suite(request: SuiteRequest, tracker: StageTracker,
                     exit_code=1 if report.errors else 0)
 
 
-def _run_shard(request: ShardRequest, tracker: StageTracker,
-               store: Optional[ArtifactStore]) -> Response:
-    from ..atpg.driver import prepare_fault_list
-    from ..dist.shards import make_fault_shards, run_fault_shard
-
-    config = replace(request.config,
-                     atpg=replace(request.config.atpg,
-                                  mode=request.mode))
-    session = _session_for(request, tracker, config=config)
-    circuit = session.circuit
-    learned: Optional[LearnResult] = None
-    if request.mode != "none":
-        # learned_digest pins which artifact the coordinator scheduled;
-        # drift between its config and ours must fail loudly, not merge
-        # outcomes computed from different knowledge.
-        expected = learn_digest(circuit, config.learn)
-        if request.learned_digest != expected:
-            raise RequestError(
-                f"learned_digest {request.learned_digest!r} does not "
-                f"match this circuit+config ({expected!r})")
-        learned, _ = _learn_stage(session, store)
-    faults, _ = prepare_fault_list(circuit,
-                                   max_faults=config.atpg.max_faults,
-                                   fill_seed=config.atpg.fill_seed)
-    shard = make_fault_shards(len(faults),
-                              request.n_shards)[request.shard_index]
-
-    def stage() -> Dict[int, object]:
-        return run_fault_shard(circuit, shard, learned=learned,
-                               config=config.atpg)
-
-    outcomes = session.run_stage(
-        f"shard[{request.mode}:{request.shard_index}/{request.n_shards}]",
-        stage, lambda out: {"faults": len(out)})
-    payload = session.report()
-    payload["config_digest"] = request.config_digest(circuit)
-    payload["shard"] = {
-        "mode": request.mode,
-        "shard_index": request.shard_index,
-        "n_shards": request.n_shards,
-        "n_faults": len(faults),
-        "outcomes": {str(index): outcome.to_dict()
-                     for index, outcome in sorted(outcomes.items())},
-    }
-    return _finish(request, payload)
-
-
 def _run_stats(request: StatsRequest, tracker: StageTracker,
                store: Optional[ArtifactStore]) -> Response:
     session = _session_for(request, tracker)
@@ -359,7 +311,6 @@ _HANDLERS = {
     FaultSimRequest.KIND: _run_faultsim,
     CompareRequest.KIND: _run_compare,
     SuiteRequest.KIND: _run_suite,
-    ShardRequest.KIND: _run_shard,
     StatsRequest.KIND: _run_stats,
     AnalyzeRequest.KIND: _run_analyze,
     ListRequest.KIND: _run_list,

@@ -2,9 +2,8 @@
 coordinator.
 
 :class:`JSONRequestHandler` is the one copy of how both servers read a
-request body -- ``Content-Length`` or chunked, both bounded by the
-subclass's :attr:`~JSONRequestHandler.max_body_bytes` -- and write a
-reply.  A framing fault is a :class:`~repro.api.errors.ReproError` with
+request body -- ``Content-Length`` or chunked, both bounded by
+:data:`MAX_BODY_BYTES` -- and write a reply.  A framing fault is a :class:`~repro.api.errors.ReproError` with
 ``stage="http"`` and goes out as the same error envelope
 :func:`repro.api.execute` returns: never a bare string, a traceback or
 a dropped connection.
@@ -23,7 +22,12 @@ from .errors import PayloadTooLarge, ReproError, RequestError
 from .executor import Response
 from .requests import SCHEMA_VERSION
 
-__all__ = ["JSONRequestHandler", "error_reply"]
+__all__ = ["JSONRequestHandler", "error_reply", "MAX_BODY_BYTES"]
+
+#: Largest accepted request body.  Request documents and dist unit
+#: completions (one circuit's suite report) are a few KB, so both
+#: servers shrug off confused or hostile clients at this bound.
+MAX_BODY_BYTES = 4 << 20
 
 
 def error_reply(error: ReproError, kind: str = "unknown",
@@ -37,8 +41,8 @@ def error_reply(error: ReproError, kind: str = "unknown",
 class JSONRequestHandler(BaseHTTPRequestHandler):
     """Bounded body reading and JSON replies for one HTTP server."""
 
-    #: Largest accepted request body, in bytes (set by each server).
-    max_body_bytes: int
+    #: Largest accepted request body, in bytes.
+    max_body_bytes = MAX_BODY_BYTES
 
     #: Per-socket-operation timeout: a sender that stalls forever
     #: mid-body (or mid-chunk) is cut loose instead of pinning a
@@ -75,11 +79,22 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
         self._send(status, body)
 
     def _send_not_found(self, message: str) -> None:
-        self._send_json(404, {
+        self.send_error(404, message)
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """An HTTP-level rejection as an error envelope.
+
+        ``http.server`` calls this itself for an unsupported method, a
+        malformed request line or oversized headers; its default answer
+        is an HTML page, which no client of either server can parse.
+        """
+        self._send_json(code, {
             "schema_version": SCHEMA_VERSION,
             "ok": False,
             "error": {"code": "parse", "stage": "http",
-                      "message": message},
+                      "message": message or self.responses.get(
+                          code, ("HTTP error",))[0]},
         })
 
     # ------------------------------------------------------------------

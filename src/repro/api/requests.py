@@ -15,8 +15,7 @@ Request kinds
 ``untestable``  tie-gate vs FIRES untestability screen
 ``atpg``        ATPG over one or more implication modes
 ``faultsim``    grade generated tests against the full fault list
-``suite``       the whole pipeline over many circuits (sharded pool)
-``shard``       speculative ATPG over one fault-list shard (dist tier)
+``suite``       the whole pipeline over many circuits (pool or fleet)
 ``compare``     the paper's Table-5 protocol over backtrack limits
 ``stats``       structural statistics
 ``analyze``     density-of-encoding state-space analysis
@@ -46,7 +45,7 @@ from .errors import RequestError
 __all__ = [
     "SCHEMA_VERSION", "PRIORITY_CLASSES", "Request", "LearnRequest",
     "UntestableRequest", "ATPGRequest", "FaultSimRequest",
-    "SuiteRequest", "ShardRequest", "CompareRequest", "StatsRequest",
+    "SuiteRequest", "CompareRequest", "StatsRequest",
     "AnalyzeRequest", "ListRequest", "REQUEST_KINDS",
     "request_from_dict",
 ]
@@ -70,7 +69,10 @@ __all__ = [
 #: Version 7 removed the width knobs again; a config naming one is now a
 #: ``config`` error, and every config digest changed with the canonical
 #: form.
-SCHEMA_VERSION = 7
+#: Version 8 removed the ``shard`` kind: the dist tier now leases
+#: one-spec ``suite`` requests, so a ``shard`` document is a ``parse``
+#: error.
+SCHEMA_VERSION = 8
 
 #: Admission classes the serve tier schedules between; earlier names
 #: win ties (``interactive`` outranks ``batch``).
@@ -325,7 +327,7 @@ class FaultSimRequest(Request):
 
 @dataclass
 class SuiteRequest(Request):
-    """The whole pipeline over many circuit specs (sharded pool)."""
+    """The whole pipeline over many circuit specs (pool or fleet)."""
 
     KIND: ClassVar[str] = "suite"
     _TUPLE_FIELDS: ClassVar[Tuple[str, ...]] = ("specs", "modes")
@@ -346,53 +348,6 @@ class SuiteRequest(Request):
         if not self.specs:
             raise RequestError("SuiteRequest.specs must be non-empty")
         _check_modes(self.modes)
-        return self
-
-
-@dataclass
-class ShardRequest(Request):
-    """Speculative ATPG over one fault-list shard of one circuit.
-
-    The distributed tier's unit of ATPG work: the worker rebuilds the
-    canonical prepared fault list from (spec, config), runs PODEM for
-    the shard's slice (indices ``i`` with ``i % n_shards ==
-    shard_index``) and returns raw per-fault outcomes for the
-    coordinator's deterministic replay merge
-    (:mod:`repro.dist.shards`).  ``mode`` overrides ``config.atpg.mode``
-    so one config object can fan out into per-mode shard units.
-    """
-
-    KIND: ClassVar[str] = "shard"
-
-    spec: str = ""
-    config: ReproConfig = field(default_factory=ReproConfig)
-    #: Implication mode for this shard (one of ATPG_MODES).
-    mode: str = "forbidden"
-    shard_index: int = 0
-    n_shards: int = 1
-    #: Learning artifact digest the worker must use for non-'none'
-    #: modes (fetched from its store, normally via the coordinator's
-    #: artifact tier).  None is only legal for mode='none'.
-    learned_digest: Optional[str] = None
-    canonical: bool = False
-    # Serve-tier fields (schema v5): admission class, deadline, id.
-    priority: str = "interactive"
-    deadline_s: Optional[float] = None
-    request_id: Optional[str] = None
-
-    def validate(self) -> "ShardRequest":
-        super().validate()
-        _check_modes((self.mode,))
-        if self.n_shards < 1:
-            raise ConfigError(
-                f"n_shards must be >= 1, got {self.n_shards}")
-        if not 0 <= self.shard_index < self.n_shards:
-            raise ConfigError(
-                f"shard_index must be in [0, {self.n_shards}), "
-                f"got {self.shard_index}")
-        if self.mode != "none" and self.learned_digest is None:
-            raise ConfigError(
-                f"mode {self.mode!r} requires learned_digest")
         return self
 
 
@@ -484,8 +439,7 @@ def _check_modes(modes: Tuple[str, ...]) -> None:
 REQUEST_KINDS: Dict[str, Type[Request]] = {
     cls.KIND: cls
     for cls in (LearnRequest, UntestableRequest, ATPGRequest,
-                FaultSimRequest, SuiteRequest, ShardRequest,
-                CompareRequest, StatsRequest, AnalyzeRequest,
+                FaultSimRequest, SuiteRequest, CompareRequest, StatsRequest, AnalyzeRequest,
                 ListRequest)
 }
 

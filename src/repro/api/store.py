@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import os
 import threading
 from collections import OrderedDict
@@ -34,11 +33,8 @@ from ..core.engine import LearnConfig, LearnResult
 from ..flow.config import canonical_json
 from ..flow.serialize import (
     ArtifactError,
-    learn_result_from_dict,
-    learn_result_to_dict,
     load_learn_result,
     save_learn_result,
-    write_json_atomic,
 )
 
 __all__ = ["ArtifactStore", "learn_digest"]
@@ -84,11 +80,6 @@ class ArtifactStore:
         self.root = os.fspath(root) if root is not None else None
         self.keep_in_memory = keep_in_memory
         self._memory: "OrderedDict[str, LearnResult]" = OrderedDict()
-        #: Raw artifact bytes accepted by :meth:`put_learn_payload` on
-        #: a store with no disk root (the coordinator's default), so a
-        #: memory-only coordinator can still relay artifacts between
-        #: workers.  Same LRU bound as the object tier.
-        self._payload_memory: "OrderedDict[str, bytes]" = OrderedDict()
         self._lock = threading.Lock()
         self._flight_locks: Dict[str, threading.Lock] = {}
         self.memory_hits = 0
@@ -96,8 +87,6 @@ class ArtifactStore:
         self.misses = 0
         self.puts = 0
         self.flight_waits = 0
-        self.payload_hits = 0
-        self.payload_misses = 0
 
     def flight_lock(self, digest: str) -> threading.Lock:
         """Single-flight lock for one digest's compute.
@@ -145,14 +134,6 @@ class ArtifactStore:
         return os.path.join(self.root, "learn", digest[:2],
                             f"{digest}.json")
 
-    def has_learn(self, digest: str) -> bool:
-        """Cheap existence probe (no deserialization)."""
-        with self._lock:
-            if digest in self._memory or digest in self._payload_memory:
-                return True
-        path = self.learn_path(digest)
-        return path is not None and os.path.exists(path)
-
     def get_learn(self, digest: str,
                   circuit: Circuit) -> Optional[LearnResult]:
         """Fetch a learn result by digest, or None on a miss.
@@ -184,24 +165,6 @@ class ArtifactStore:
                             self._memory.popitem(last=False)
                 return result
         with self._lock:
-            raw = self._payload_memory.get(digest)
-        if raw is not None:
-            try:
-                result = learn_result_from_dict(
-                    json.loads(raw.decode()), circuit,
-                    expect_digest=digest)
-            except (UnicodeDecodeError, ValueError, ArtifactError):
-                pass  # corrupt relayed bytes count as a miss
-            else:
-                with self._lock:
-                    self.memory_hits += 1
-                    if self.keep_in_memory:
-                        self._memory[digest] = result
-                        self._memory.move_to_end(digest)
-                        while len(self._memory) > self.MEMORY_CAP:
-                            self._memory.popitem(last=False)
-                return result
-        with self._lock:
             self.misses += 1
         return None
 
@@ -220,90 +183,14 @@ class ArtifactStore:
             save_learn_result(result, path, digest=digest)
 
     # ------------------------------------------------------------------
-    # Payload tier: raw artifact bytes, for serving over the network.
-    # The coordinator's GET/PUT /v1/artifacts/<digest> endpoints move
-    # artifacts as opaque canonical JSON; validation against a circuit
-    # happens only where a live LearnResult is materialized (get_learn /
-    # learn_result_from_dict), so the serving path never needs the
-    # netlist.
-    # ------------------------------------------------------------------
-    def get_learn_payload(self, digest: str) -> Optional[bytes]:
-        """Raw serialized artifact for a digest, or None on a miss.
-
-        Prefers the on-disk file (already the canonical wire form);
-        a memory-only hit is serialized on the fly.
-        """
-        path = self.learn_path(digest)
-        if path is not None and os.path.exists(path):
-            try:
-                with open(path, "rb") as handle:
-                    raw = handle.read()
-            except OSError:
-                pass
-            else:
-                with self._lock:
-                    self.payload_hits += 1
-                return raw
-        with self._lock:
-            raw = self._payload_memory.get(digest)
-            if raw is not None:
-                self._payload_memory.move_to_end(digest)
-                self.payload_hits += 1
-                return raw
-            hit = self._memory.get(digest)
-        if hit is not None:
-            # Match write_json_atomic's framing so payload bytes do not
-            # depend on which tier answered.
-            with self._lock:
-                self.payload_hits += 1
-            return (json.dumps(learn_result_to_dict(hit, digest=digest),
-                               indent=1) + "\n").encode()
-        with self._lock:
-            self.payload_misses += 1
-        return None
-
-    def put_learn_payload(self, digest: str, payload: bytes) -> bool:
-        """Store raw artifact bytes under a digest; False if rejected.
-
-        The payload must at least parse as a JSON object claiming this
-        digest (cheap tamper check; full circuit validation happens at
-        :meth:`get_learn` time).  With a disk root the bytes land in
-        the content tree; without one they go to a bounded in-memory
-        byte cache, so a memory-only coordinator can still relay
-        artifacts between workers.
-        """
-        try:
-            data = json.loads(payload.decode())
-        except (UnicodeDecodeError, ValueError):
-            return False
-        if not isinstance(data, dict) or data.get("digest") != digest:
-            return False
-        path = self.learn_path(digest)
-        if path is not None:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            write_json_atomic(path, data)
-        else:
-            with self._lock:
-                self._payload_memory[digest] = bytes(payload)
-                self._payload_memory.move_to_end(digest)
-                while len(self._payload_memory) > self.MEMORY_CAP:
-                    self._payload_memory.popitem(last=False)
-        with self._lock:
-            self.puts += 1
-        return True
-
-    # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
         """Hit/miss counters (for health endpoints and tests)."""
         with self._lock:
             return {
                 "memory_entries": len(self._memory),
-                "payload_entries": len(self._payload_memory),
                 "memory_hits": self.memory_hits,
                 "disk_hits": self.disk_hits,
                 "misses": self.misses,
                 "puts": self.puts,
                 "flight_waits": self.flight_waits,
-                "payload_hits": self.payload_hits,
-                "payload_misses": self.payload_misses,
             }

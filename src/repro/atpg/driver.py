@@ -28,8 +28,8 @@ from ..circuit.netlist import Circuit
 from ..core.engine import LearnResult
 from ..core.ties import untestable_faults_from_ties
 from ..sim.resident import make_resident_dropper
-from .engine import SequentialATPG, TestResult, make_atpg
-from .faults import Fault, collapse_faults, collapse_with_classes
+from .engine import make_atpg
+from .faults import Fault, collapse_with_classes
 
 
 @dataclass
@@ -88,9 +88,8 @@ def prepare_fault_list(circuit: Circuit,
 
     Returns ``(faults, classes)`` exactly as :func:`run_atpg` consumes
     them.  This is a pure function of its arguments (sampling uses its
-    own ``Random(fill_seed)``), so distributed shard workers, the merge
-    replay and the serial path all reconstruct the identical list --
-    fault *indices* into it are a stable cross-process vocabulary.
+    own ``Random(fill_seed)``), so every process reconstructs the
+    identical list.
     ``classes`` is None when an explicit ``faults`` sequence was given
     (no collapsing happened, so there are no equivalence classes).
     """
@@ -111,9 +110,9 @@ def tie_untestable_indices(circuit: Circuit,
                            classes=None) -> Set[int]:
     """Indices of faults pre-marked untestable by tie gates.
 
-    Shared by the serial loop and the distributed shard workers so both
-    skip (and count) exactly the same faults.  Empty without ``learned``
-    -- the paper's true no-learning baseline never sees ties.
+    The ATPG loop skips (and counts) exactly these faults.  Empty
+    without ``learned`` -- the paper's true no-learning baseline never
+    sees ties.
     """
     if learned is None:
         return set()
@@ -138,7 +137,6 @@ def run_atpg(circuit: Circuit, *,
              config=None,
              faults: Optional[Sequence[Fault]] = None,
              progress: Optional[Callable[[int, int], None]] = None,
-             generate: Optional[Callable[[Fault], TestResult]] = None,
              cancel: Optional[Callable[[], None]] = None
              ) -> ATPGStats:
     """Generate tests for every fault; returns aggregate statistics.
@@ -167,12 +165,10 @@ def run_atpg(circuit: Circuit, *,
     never cancelled is unaffected: the hook returning ``None`` costs
     one call per fault.
 
-    ``generate`` is the distributed layer's injection point: when given
-    it replaces ``make_atpg(...).generate`` (no engine is built here),
-    so :mod:`repro.dist.shards` can replay precomputed per-fault
-    results through this exact loop -- dropping, fill RNG, collateral
-    accounting and all -- and merge shard outcomes into statistics
-    byte-identical to a serial run *by construction*, not by imitation.
+    This loop is the only place a fault's verdict, its test's random
+    fill and its collateral drops are decided: the suite pool and the
+    dist tier both run whole circuits through it, so no other copy of
+    it has to agree.
     """
     config = _config_or_default(config)
     mode = config.mode
@@ -183,13 +179,11 @@ def run_atpg(circuit: Circuit, *,
     stats = ATPGStats(circuit=circuit.name, mode=mode,
                       backtrack_limit=config.backtrack_limit,
                       total_faults=len(faults))
-    if generate is None:
-        relations = learned.relations if learned is not None else None
-        atpg = make_atpg(circuit, engine=config.atpg_engine,
-                         relations=relations if mode != "none" else None,
-                         mode=mode, backtrack_limit=config.backtrack_limit,
-                         max_frames=config.max_frames)
-        generate = atpg.generate
+    relations = learned.relations if learned is not None else None
+    atpg = make_atpg(circuit, engine=config.atpg_engine,
+                     relations=relations if mode != "none" else None,
+                     mode=mode, backtrack_limit=config.backtrack_limit,
+                     max_frames=config.max_frames)
     rng = random.Random(config.fill_seed)
     input_names = [circuit.nodes[i].name for i in circuit.inputs]
 
@@ -212,7 +206,7 @@ def run_atpg(circuit: Circuit, *,
             if progress is not None:
                 progress(targeted, len(remaining))
             continue
-        result = generate(faults[index])
+        result = atpg.generate(faults[index])
         stats.decisions += result.decisions
         stats.backtracks += result.backtracks
         if result.status == "detected":

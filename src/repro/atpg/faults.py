@@ -156,24 +156,3 @@ def fault_site_source(circuit: Circuit, fault: Fault) -> int:
         return fault.node
     return circuit.nodes[fault.node].fanins[fault.pin]
 
-
-def partition_fault_indices(n_faults: int,
-                            n_shards: int) -> List[Tuple[int, ...]]:
-    """Deterministically split ``range(n_faults)`` into ``n_shards``.
-
-    Round-robin by index: shard ``k`` gets every index ``i`` with
-    ``i % n_shards == k``.  The collapsed fault list is sorted by node
-    id, and neighbouring faults correlate in difficulty (same cone,
-    same backtracking behaviour), so striding spreads the hard regions
-    across shards far better than contiguous chunks would.
-
-    The partition is a pure function of ``(n_faults, n_shards)`` --
-    every worker, the coordinator and the serial differential oracle
-    compute the identical split with no communication.  Shards may be
-    empty when ``n_shards > n_faults``; together they always cover each
-    index exactly once.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    return [tuple(range(shard, n_faults, n_shards))
-            for shard in range(n_shards)]

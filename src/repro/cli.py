@@ -13,7 +13,7 @@ analyze CIRCUIT      density of encoding (small circuits)
 stats CIRCUIT        structural statistics
 list                 list built-in circuit names
 serve                run the warm JSON-over-HTTP daemon
-coordinator C...     serve one suite as fault-sharded units to workers
+coordinator C...     serve one suite to workers, one circuit per unit
 worker               lease and execute units from a coordinator
 
 Every command takes ``--json`` for machine-readable output on stdout.
@@ -417,22 +417,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable the streaming endpoints")
 
     p = sub.add_parser("coordinator",
-                       help="serve one suite as fault-sharded units; "
-                            "prints the merged suite report when the "
-                            "worker fleet drains (byte-identical to "
-                            "repro suite --canonical)")
+                       help="serve one suite to workers, one whole "
+                            "circuit (every mode) per unit; prints the "
+                            "merged suite report when the worker fleet "
+                            "drains (byte-identical to repro suite "
+                            "--canonical)")
     p.add_argument("circuits", nargs="+",
                    help="circuit specs (builtin, like:<profile>, .bench)")
     p.add_argument("--retime", type=int, metavar="MOVES")
     add_json(p)
     add_atpg_knobs(p)
-    p.add_argument("--shards", type=int, default=4, metavar="N",
-                   help="fault-list shards per (circuit, mode) unit")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8452)
-    p.add_argument("--store", metavar="DIR", default=None,
-                   help="serve learn artifacts content-addressed from "
-                        "DIR (default: in-memory only)")
     p.add_argument("--journal", metavar="DIR", default=None,
                    help="journal completed units under DIR so a "
                         "restarted coordinator resumes from partial "
@@ -449,19 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "report is byte-identical to a serial run")
 
     p = sub.add_parser("worker",
-                       help="lease and execute units from a "
-                            "coordinator until the job drains "
-                            "(SIGTERM finishes the current unit, then "
-                            "exits)")
+                       help="lease circuit units from a coordinator "
+                            "and run each through the suite pipeline "
+                            "until the job drains (SIGTERM finishes "
+                            "the current unit, then exits)")
     p.add_argument("--coordinator", required=True, metavar="URL",
                    help="coordinator base URL, e.g. "
                         "http://127.0.0.1:8452")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes to run (0 = one per CPU "
                         "core; default 1 = in this process)")
-    p.add_argument("--store", metavar="DIR", default=None,
-                   help="local artifact cache directory (misses fall "
-                        "through to the coordinator's shared cache)")
 
     p = sub.add_parser("devtool",
                        help="project static analysis (determinism & "
@@ -530,8 +523,7 @@ def _run_coordinator_command(args) -> int:
     try:
         response = run_coordinator(
             list(args.circuits), config=config, modes=modes,
-            n_shards=args.shards, host=args.host, port=args.port,
-            store_dir=args.store, journal_dir=args.journal,
+            host=args.host, port=args.port, journal_dir=args.journal,
             lease_timeout_s=args.lease_timeout,
             canonical=args.canonical, out=args.out, announce=announce)
     except OSError as exc:  # e.g. port already in use
@@ -568,7 +560,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .dist import run_worker
 
         return run_worker(args.coordinator, jobs=args.jobs,
-                          store_dir=args.store,
                           announce=lambda message:
                               print(message, file=sys.stderr))
     # Request faults come back as error envelopes from execute().

@@ -1,10 +1,11 @@
 """R001 -- no nondeterminism sources reachable from canonical paths.
 
 The canonical-report contract (byte-identical suite envelopes across
-backends, worker counts and shard merges) dies the moment a wall-clock
+backends, worker counts and dist fleets) dies the moment a wall-clock
 read or an unseeded global-``random`` draw lands in a code path that
-feeds :meth:`SuiteReport.canonical_dict`, the shard replay merge
-(:func:`merge_shard_outcomes`) or any config digest.  Volatile timing
+feeds :meth:`SuiteReport.canonical_dict`, the coordinator's suite merge
+(:meth:`~repro.dist.coordinator.DistJob.merge_suite`) or any config
+digest.  Volatile timing
 *fields* are fine -- canonicalization zeroes them -- which is why
 ``time.perf_counter`` / ``time.monotonic`` are allowed; absolute time
 and global randomness are not, because they leak into values the
@@ -27,7 +28,7 @@ from ..core import LintContext, dotted_name
 CODE = "R001"
 
 #: Simple names whose definitions root the reachability walk.
-ROOTS = ("canonical_dict", "merge_shard_outcomes", "config_digest")
+ROOTS = ("canonical_dict", "merge_suite", "config_digest")
 
 #: Canonical dotted names that must never be reachable from a root.
 BANNED = {

@@ -35,8 +35,8 @@ CODE = "R002"
 
 #: Module basenames forming the merge/serialization tier.
 SCOPED_NAMES = {
-    "serialize.py", "session.py", "shards.py", "coordinator.py",
-    "executor.py", "requests.py", "config.py", "store.py",
+    "serialize.py", "session.py", "coordinator.py", "executor.py",
+    "requests.py", "config.py", "store.py",
 }
 
 HINT = ("iterate `sorted(...)` (or a list with documented "

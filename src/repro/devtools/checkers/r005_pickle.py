@@ -2,11 +2,11 @@
 
 Everything named like a unit of distributable work (``*Task``,
 ``*Unit``, ``*Shard``, ``*Outcome``) crosses a process boundary
-somewhere: ``ProcessPoolExecutor`` for the parallel suite, the dist
-wire protocol for shards.  Pickle fails late and badly -- a lambda
-default or a ``Lock`` field only explodes when a worker first receives
-the unit, usually inside a pool where the traceback is mangled.  This
-rule moves the failure to lint time:
+somewhere, ``ProcessPoolExecutor`` for the parallel suite among them.
+Pickle fails late and badly -- a lambda default or a ``Lock`` field
+only explodes when a worker first receives the unit, usually inside a
+pool where the traceback is mangled.  This rule moves the failure to
+lint time:
 
 * the class itself must be defined at module top level (pickle finds
   classes by qualified name; nested and local classes don't resolve);

@@ -1,32 +1,32 @@
-"""Distributed execution tier: fault-sharded ATPG over many workers.
+"""Distributed execution tier: whole circuits over a fleet of workers.
 
-``repro.flow.parallel_suite`` parallelizes at circuit granularity on
-one machine; this package goes one level deeper and one hop wider --
-one circuit's fault list shards across a fleet, coordinated over TCP:
+``repro.flow.parallel_suite`` spreads a suite's circuits over worker
+processes on one machine; this package spreads the same units one hop
+wider, over TCP.  A unit is one circuit spec through the whole
+pipeline, every requested mode -- a one-spec ``suite`` request that a
+worker runs with :func:`repro.api.execute`, i.e. the pool's own
+:func:`~repro.flow.parallel_suite.run_task`:
 
-* :mod:`repro.dist.shards` -- deterministic fault-list sharding and
-  the speculate-then-replay merge that keeps distributed results
-  byte-identical to serial runs.
 * :mod:`repro.dist.protocol` -- the JSON-over-HTTP wire protocol
-  (lease / complete / heartbeat / artifacts).
-* :mod:`repro.dist.coordinator` -- unit DAG planning, work-stealing
+  (lease / complete / heartbeat / status).
+* :mod:`repro.dist.coordinator` -- one unit per spec, work-stealing
   pull scheduling, lease timeouts, bounded retries, journaled restart,
-  and the deterministic suite merge (``repro coordinator``).
+  and the suite merge in spec order (``repro coordinator``).
 * :mod:`repro.dist.worker` -- the lease/execute/complete loop with
   heartbeats and graceful SIGTERM drain (``repro worker``).
-* :mod:`repro.dist.cache` -- :class:`RemoteStore`, the fleet-shared
-  artifact cache tier over :class:`~repro.api.store.ArtifactStore`.
+
+One circuit never spreads across workers, so the largest circuit of a
+suite bounds the fleet's speed-up.
 
 Quickstart (two terminals)::
 
-    repro coordinator s27 s298 --shards 4 --canonical --json
+    repro coordinator s27 s298 --canonical --json
     repro worker --coordinator http://127.0.0.1:8452 --jobs 0
 
 The coordinator prints the merged suite envelope when the fleet
 drains; its bytes match a local ``repro suite --canonical --json``.
 """
 
-from .cache import RemoteStore
 from .coordinator import (
     CoordinatorServer,
     DistJob,
@@ -34,23 +34,10 @@ from .coordinator import (
     make_coordinator,
     run_coordinator,
 )
-from .shards import (
-    FaultOutcome,
-    FaultShard,
-    MissingOutcomeError,
-    make_fault_shards,
-    merge_shard_outcomes,
-    run_atpg_sharded,
-    run_fault_shard,
-)
 from .worker import WorkerLoop, run_worker
 
 __all__ = [
-    "RemoteStore",
     "CoordinatorServer", "DistJob", "DistUnit", "make_coordinator",
     "run_coordinator",
-    "FaultOutcome", "FaultShard", "MissingOutcomeError",
-    "make_fault_shards", "merge_shard_outcomes", "run_atpg_sharded",
-    "run_fault_shard",
     "WorkerLoop", "run_worker",
 ]

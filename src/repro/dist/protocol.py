@@ -24,15 +24,11 @@ no dependencies, same idiom as :mod:`repro.serve.daemon`):
 ``GET /v1/dist/status``
     Scheduler counters (pending / leased / completed / failed).
 
-``GET/PUT /v1/artifacts/<digest>``
-    The fleet-shared artifact cache: raw learn-artifact JSON bytes,
-    addressed by :func:`repro.api.store.learn_digest`.
-
 ``GET /v1/health``
-    Liveness + scheduler + artifact-store statistics.
+    Liveness + scheduler statistics.
 
-Unit requests are ordinary :mod:`repro.api.requests` documents (kinds
-``learn`` and ``shard``), so a worker is just ``execute()`` behind a
+Unit requests are ordinary one-spec ``suite`` documents of
+:mod:`repro.api.requests`, so a worker is just ``execute()`` behind a
 lease loop -- the dist tier adds scheduling, not a second vocabulary.
 """
 
@@ -45,8 +41,7 @@ from typing import Dict, Optional, Tuple
 
 __all__ = [
     "LEASE_PATH", "COMPLETE_PATH", "HEARTBEAT_PATH", "STATUS_PATH",
-    "HEALTH_PATH", "ARTIFACT_PREFIX", "artifact_path", "http_json",
-    "http_bytes",
+    "HEALTH_PATH", "http_json", "http_bytes",
 ]
 
 LEASE_PATH = "/v1/dist/lease"
@@ -54,12 +49,6 @@ COMPLETE_PATH = "/v1/dist/complete"
 HEARTBEAT_PATH = "/v1/dist/heartbeat"
 STATUS_PATH = "/v1/dist/status"
 HEALTH_PATH = "/v1/health"
-ARTIFACT_PREFIX = "/v1/artifacts/"
-
-
-def artifact_path(digest: str) -> str:
-    """URL path of one artifact digest."""
-    return ARTIFACT_PREFIX + digest
 
 
 def http_bytes(method: str, base_url: str, path: str,
@@ -74,11 +63,10 @@ def http_bytes(method: str, base_url: str, path: str,
     ``http.client`` reports some transport failures through its own
     hierarchy instead -- ``BadStatusLine`` on a garbled response,
     ``IncompleteRead`` on a mid-body disconnect -- and those are *not*
-    ``OSError`` subclasses, so they are normalized here.  Every caller
-    in the dist tier (worker loop, :class:`~repro.dist.cache.
-    RemoteStore`) handles transport failure with ``except OSError``;
-    without this, a half-dead coordinator could raise straight through
-    a worker's lease loop.
+    ``OSError`` subclasses, so they are normalized here.  The worker
+    loop handles transport failure with ``except OSError``; without
+    this, a half-dead coordinator could raise straight through a
+    worker's lease loop.
     """
     parsed = urllib.parse.urlsplit(base_url)
     connection = http.client.HTTPConnection(

@@ -1,12 +1,11 @@
 """``repro worker`` -- lease units, execute them, report back.
 
-A worker is deliberately thin: it pulls a unit from the coordinator,
-runs the unit's request document through the ordinary
-:func:`repro.api.execute` (with a :class:`~repro.dist.cache.RemoteStore`
-so learn artifacts flow through the fleet-shared cache automatically),
-and POSTs the resulting envelope back.  Everything interesting --
-scheduling, retries, stealing, merging -- lives on the coordinator;
-a worker can be killed at any moment and the job still converges.
+A worker is deliberately thin: it pulls a unit (one circuit's suite
+request) from the coordinator, runs it through the ordinary
+:func:`repro.api.execute` and POSTs the resulting envelope back.
+Everything interesting -- scheduling, retries, stealing, merging --
+lives on the coordinator; a worker can be killed at any moment and the
+job still converges.
 
 While a unit runs, a background thread heartbeats its lease at the
 cadence the coordinator asked for, so long PODEM stages on slow
@@ -34,8 +33,6 @@ from typing import Dict, Optional
 
 from ..flow.config import normalize_jobs
 from ..api.executor import execute
-from ..api.store import ArtifactStore
-from .cache import RemoteStore
 from .protocol import (
     COMPLETE_PATH,
     HEARTBEAT_PATH,
@@ -57,15 +54,12 @@ class WorkerLoop:
     """
 
     def __init__(self, coordinator_url: str,
-                 store: Optional[ArtifactStore] = None,
                  worker_id: Optional[str] = None,
                  poll_s: float = 0.1,
                  max_idle_s: float = 60.0,
                  timeout: float = 30.0,
                  announce=None):
         self.url = coordinator_url.rstrip("/")
-        self.store = (store if store is not None
-                      else RemoteStore(self.url, timeout=timeout))
         self.worker_id = worker_id or (
             f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:8]}")
         self.poll_s = poll_s
@@ -139,7 +133,7 @@ class WorkerLoop:
             # execute() never raises for request faults: a failing unit
             # comes back as an error envelope the coordinator can
             # attribute and retry.
-            return execute(request, store=self.store).envelope()
+            return execute(request).envelope()
         finally:
             done.set()
             beater.join(timeout=1.0)
@@ -197,15 +191,14 @@ class WorkerLoop:
         return self.units_completed
 
 
-def _worker_process_main(url: str, store_dir: Optional[str]) -> None:
-    loop = WorkerLoop(url, store=RemoteStore(url, root=store_dir))
+def _worker_process_main(url: str) -> None:
+    loop = WorkerLoop(url)
     signal.signal(signal.SIGTERM, lambda *_: loop.stop())
     signal.signal(signal.SIGINT, lambda *_: loop.stop())
     loop.run()
 
 
 def run_worker(coordinator_url: str, jobs: int = 1,
-               store_dir: Optional[str] = None,
                announce=None) -> int:
     """Run ``jobs`` worker processes against a coordinator (the
     ``repro worker`` command); returns a process exit code.
@@ -218,13 +211,9 @@ def run_worker(coordinator_url: str, jobs: int = 1,
     """
     jobs = normalize_jobs(jobs)
     if announce is not None:
-        announce(f"repro worker: {jobs} worker(s) -> {coordinator_url} "
-                 f"(store: {store_dir or 'in-memory'})")
+        announce(f"repro worker: {jobs} worker(s) -> {coordinator_url}")
     if jobs == 1:
-        loop = WorkerLoop(coordinator_url,
-                          store=RemoteStore(coordinator_url,
-                                            root=store_dir),
-                          announce=announce)
+        loop = WorkerLoop(coordinator_url, announce=announce)
         try:
             signal.signal(signal.SIGTERM, lambda *_: loop.stop())
         except ValueError:
@@ -250,7 +239,7 @@ def run_worker(coordinator_url: str, jobs: int = 1,
         return 0
     ctx = multiprocessing.get_context()
     processes = [ctx.Process(target=_worker_process_main,
-                             args=(coordinator_url, store_dir),
+                             args=(coordinator_url,),
                              daemon=False)
                  for _ in range(jobs)]
     for process in processes:

@@ -375,28 +375,6 @@ class PipelineSession:
         """Run (or fetch) the ATPG stage for several modes in order."""
         return [self.atpg(mode) for mode in modes]
 
-    def adopt_atpg(self, mode: str, stats: ATPGStats) -> ATPGStats:
-        """Stage ``atpg[mode]`` satisfied from an already-merged result.
-
-        The distributed merge path (:mod:`repro.dist`) computes
-        :class:`~repro.atpg.driver.ATPGStats` outside this session --
-        sharded over workers, replayed deterministically -- and adopts
-        it here so the session report has the same stage records, in
-        the same order, with the same summaries a locally-computed run
-        would have produced (wall-clock fields aside, which canonical
-        reports zero).  Mirrors :meth:`adopt_learned` for learn.
-        """
-        if mode not in ATPG_MODES:
-            raise ConfigError(
-                f"mode must be one of {ATPG_MODES}, got {mode!r}")
-        if stats.circuit != self.circuit.name:
-            raise CircuitResolveError(
-                f"ATPG stats are for {stats.circuit!r}, not "
-                f"{self.circuit.name!r}")
-        self._atpg[mode] = self._stage(
-            f"atpg[{mode}]", lambda: stats, lambda s: dict(s.row()))
-        return self._atpg[mode]
-
     # ------------------------------------------------------------------
     # fault simulation
     # ------------------------------------------------------------------

@@ -46,7 +46,7 @@ from ..api.errors import (
     RequestError,
 )
 from ..api.executor import execute
-from ..api.framing import JSONRequestHandler, error_reply
+from ..api.framing import MAX_BODY_BYTES, JSONRequestHandler, error_reply
 from ..api.requests import PRIORITY_CLASSES, REQUEST_KINDS, SCHEMA_VERSION
 from ..api.store import ArtifactStore
 from ..sim.compiled import compile_cache_stats
@@ -67,10 +67,6 @@ __all__ = ["ReproServer", "make_server", "serve",
 #: network client must not get arbitrary file read/write as the daemon
 #: user just by naming a path in a request document.
 FILE_PATH_FIELDS = ("save", "out", "learned")
-
-#: Largest accepted request body; a request document is small, and the
-#: daemon should shrug off confused or hostile clients.
-MAX_BODY_BYTES = 4 << 20
 
 
 def _default_max_active() -> int:
@@ -191,8 +187,6 @@ class ReproServer(ThreadingHTTPServer):
 
 class _Handler(JSONRequestHandler):
     server: ReproServer  # typing aid; http.server sets this
-
-    max_body_bytes = MAX_BODY_BYTES
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server contract)

@@ -26,7 +26,6 @@ from repro.api import (
     ListRequest,
     REQUEST_KINDS,
     RequestError,
-    ShardRequest,
     StatsRequest,
     SuiteRequest,
     UntestableRequest,
@@ -51,8 +50,6 @@ EXAMPLES = {
     "faultsim": FaultSimRequest(spec="s27", modes=("known",)),
     "suite": SuiteRequest(specs=("figure1", "s27"), modes=("known",),
                           out="suite.json", canonical=True),
-    "shard": ShardRequest(spec="s27", mode="known", shard_index=1,
-                          n_shards=4, learned_digest="0" * 64),
     "compare": CompareRequest(spec="figure1",
                               backtrack_limits=(5, 10)),
     "stats": StatsRequest(spec="figure1"),

@@ -309,6 +309,17 @@ def test_oversized_body_is_413_envelope_not_a_dropped_connection():
         assert json.loads(body)["requests_failed"] == 1
 
 
+def test_unsupported_method_is_501_envelope_not_html():
+    with running_server() as server:
+        status, payload = raw_http(
+            server, b"PUT /v1/execute HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: 0\r\n\r\n")
+        assert status == 501
+        assert payload["ok"] is False
+        assert payload["error"]["code"] == "parse"
+        assert payload["error"]["stage"] == "http"
+
+
 def test_chunked_bodies_decode_and_malformed_chunks_are_400():
     good = json.dumps({"kind": "list"}).encode()
     chunked = (b"%x\r\n" % len(good)) + good + b"\r\n0\r\n\r\n"

@@ -1,4 +1,5 @@
-"""Coordinator scheduling: leases, stealing, retries, journal, wire.
+"""Coordinator scheduling: circuit units, leases, stealing, retries,
+journal, wire.
 
 `DistJob` is driven directly with an injected fake clock, so every
 lease-expiry scenario is deterministic -- no sleeps, no wall time.
@@ -11,34 +12,21 @@ import socket
 import threading
 from contextlib import closing, contextmanager
 
-import pytest
-
-from repro.api import (
-    ArtifactStore,
-    ShardRequest,
-    execute,
-    learn_digest,
-)
+from repro.api import SuiteRequest, execute
+from repro.api.framing import MAX_BODY_BYTES
 from repro.core import LearnConfig
-from repro.core.engine import learn
-from repro.dist.coordinator import (
-    MAX_BODY_BYTES,
-    DistJob,
-    make_coordinator,
-)
+from repro.dist.coordinator import DistJob, make_coordinator
 from repro.dist.protocol import (
     COMPLETE_PATH,
     HEALTH_PATH,
     HEARTBEAT_PATH,
     LEASE_PATH,
     STATUS_PATH,
-    artifact_path,
     http_bytes,
     http_json,
 )
-from repro.flow import ATPGConfig, ConfigError, ReproConfig, normalize_jobs
-from repro.flow.serialize import learn_result_to_dict
-from repro.flow.session import resolve_circuit
+from repro.flow import ATPGConfig, ReproConfig, normalize_jobs
+from repro.flow.session import run_suite
 
 
 def tiny_config(**kwargs) -> ReproConfig:
@@ -58,23 +46,20 @@ class FakeClock:
         self.now += seconds
 
 
-def make_job(specs=("figure1",), modes=("none", "known"), n_shards=2,
+def make_job(specs=("figure1",), modes=("none", "known"),
              **kwargs) -> DistJob:
-    return DistJob(specs, config=tiny_config(), modes=modes,
-                   n_shards=n_shards, **kwargs)
+    return DistJob(specs, config=tiny_config(), modes=modes, **kwargs)
 
 
-def drain(job: DistJob, worker_id="drain", store=None,
-          max_units=1000) -> ArtifactStore:
+def drain(job: DistJob, worker_id="drain", max_units=1000) -> None:
     """In-process worker: lease, execute for real, complete."""
-    store = store if store is not None else ArtifactStore()
     for _ in range(max_units):
         grant = job.lease(worker_id)
         unit = grant["unit"]
         if unit is None:
             assert grant["done"], "no work but job not done"
-            return store
-        envelope = execute(unit["request"], store=store).envelope()
+            return
+        envelope = execute(unit["request"]).envelope()
         job.complete(worker_id, unit["unit_id"], envelope)
     raise AssertionError("drain did not converge")
 
@@ -82,33 +67,45 @@ def drain(job: DistJob, worker_id="drain", store=None,
 # ----------------------------------------------------------------------
 # planning
 # ----------------------------------------------------------------------
-def test_plan_builds_learn_and_shard_dag():
-    job = make_job()
-    kinds = [job.units[unit_id].kind for unit_id in job.unit_order]
-    assert kinds == ["learn", "shard", "shard", "shard", "shard"]
-    learn_id = job.unit_order[0]
-    for unit_id in job.unit_order[1:]:
+def test_plan_builds_one_suite_unit_per_spec():
+    job = make_job(specs=("figure1", "s27", "figure1"))
+    assert job.unit_order == ["0:figure1", "1:s27", "2:figure1"]
+    for index, unit_id in enumerate(job.unit_order):
         unit = job.units[unit_id]
-        expected = (learn_id,) if unit.mode != "none" else ()
-        assert unit.deps == expected
+        assert unit.index == index
+        # The unit is exactly the request the local pool's unit runs:
+        # one spec, the whole mode list, a jobs=1 config.
+        assert unit.request == SuiteRequest(
+            specs=(job.specs[index],), config=tiny_config(jobs=1),
+            modes=("none", "known")).to_dict()
+        assert not hasattr(unit, "deps")
 
 
 def test_plan_skips_learn_when_no_learning_mode():
-    job = make_job(modes=("none",), n_shards=3)
-    assert [job.units[u].kind for u in job.unit_order] == ["shard"] * 3
+    job = make_job(specs=("figure1", "s27"), modes=("none",))
+    requests = [job.units[u].request for u in job.unit_order]
+    assert [r["kind"] for r in requests] == ["suite", "suite"]
+    assert all(r["modes"] == ["none"] for r in requests)
+    drain(job)
+    reports = job.merge_suite().result["reports"]
+    assert [list(r["atpg"]) for r in reports] == [["none"], ["none"]]
+    assert not any("learn" in r for r in reports)
 
 
-def test_unresolvable_spec_fails_at_planning():
-    job = make_job(specs=("figure1", "no-such-circuit"))
-    # The bad circuit planned no units; the good one is unaffected.
-    assert {job.units[u].circuit_index for u in job.unit_order} == {0}
-    assert job.circuit_errors[1]["stage"] == "resolve"
-    store = drain(job)
-    response = job.merge(store)
+def test_unresolvable_spec_error_matches_run_suite():
+    specs = ("figure1", "no-such-circuit")
+    job = make_job(specs=specs)
+    # Nothing is resolved at plan time: the bad spec is a unit too, and
+    # its worker records the failure exactly as a serial run does.
+    assert len(job.unit_order) == 2 and job.circuit_errors == {}
+    drain(job)
+    response = job.merge_suite(canonical=True)
     assert response.exit_code == 1
-    payload = response.result
-    assert [r["circuit"] for r in payload["reports"]] == ["figure1"]
-    assert payload["errors"][0]["stage"] == "resolve"
+    serial = run_suite(list(specs), config=tiny_config(),
+                       modes=("none", "known"))
+    assert serial.errors[0]["stage"] == "resolve"
+    assert response.result["errors"] == serial.errors
+    assert response.result == serial.canonical_dict()
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +115,7 @@ def test_expired_lease_reissues_unit():
     clock = FakeClock()
     job = make_job(lease_timeout_s=10.0, clock=clock)
     first = job.lease("w1")["unit"]
-    assert first["unit_id"].endswith(":learn")
+    assert first["unit_id"] == "0:figure1"
     clock.advance(11.0)
     second = job.lease("w2")["unit"]
     assert second["unit_id"] == first["unit_id"]
@@ -151,18 +148,18 @@ def test_repeated_expiry_fails_circuit_with_worker_stage():
         clock.advance(6.0)
         assert job.lease("w1")["unit"]["unit_id"] == doomed
     clock.advance(6.0)
-    # Third expiry is terminal: figure1's units all cancel, and the
-    # next lease hands out s27 work instead.
-    index = job.units[doomed].circuit_index
+    # Third expiry is terminal: figure1 fails, and the next lease hands
+    # out s27's unit instead.
+    index = job.units[doomed].index
     granted = job.lease("w1")["unit"]
     assert job.circuit_errors[index]["stage"] == "worker"
     assert "expired" in job.circuit_errors[index]["error"]
-    assert job.units[granted["unit_id"]].circuit_index != index
+    assert job.units[granted["unit_id"]].index != index
     # The healthy circuit still completes; the job never wedges.
     job.complete("w1", granted["unit_id"],
                  execute(granted["request"]).envelope())
-    store = drain(job)
-    response = job.merge(store)
+    drain(job)
+    response = job.merge_suite()
     assert response.exit_code == 1
     assert [r["circuit"] for r in response.result["reports"]] == ["s27"]
     assert response.result["errors"][0]["spec"] == "figure1"
@@ -188,12 +185,29 @@ def test_error_envelope_bounded_retry_then_circuit_error():
     assert job.done()
 
 
+def test_malformed_suite_envelope_is_a_worker_error():
+    job = make_job(specs=("figure1", "s27"), modes=("none",))
+    unit = job.lease("w1")["unit"]
+    # An ok envelope without the suite's reports/errors lists (a
+    # broken or foreign worker) fails its circuit at merge time
+    # instead of raising out of the merge.
+    assert job.complete("w1", unit["unit_id"], {"ok": True})["accepted"]
+    drain(job)
+    response = job.merge_suite()
+    assert response.exit_code == 1
+    assert response.result["errors"] == [{
+        "spec": "figure1", "stage": "worker",
+        "error": "worker returned a malformed suite envelope"}]
+    assert [r["circuit"] for r in response.result["reports"]] == ["s27"]
+
+
 # ----------------------------------------------------------------------
 # work stealing + duplicate completion
 # ----------------------------------------------------------------------
 def test_steal_duplicates_oldest_inflight_unit():
     clock = FakeClock()
-    job = make_job(modes=("none",), n_shards=2, clock=clock)
+    job = make_job(specs=("figure1", "s27"), modes=("none",),
+                   clock=clock)
     first = job.lease("w1")["unit"]["unit_id"]
     clock.advance(1.0)
     second = job.lease("w2")["unit"]["unit_id"]
@@ -211,7 +225,7 @@ def test_steal_duplicates_oldest_inflight_unit():
 
 
 def test_duplicate_completion_first_write_wins():
-    job = make_job(modes=("none",), n_shards=1)
+    job = make_job(modes=("none",))
     unit = job.lease("w1")["unit"]
     job.lease("w2")  # steal: both workers now run the same unit
     winner = execute(unit["request"]).envelope()
@@ -228,26 +242,26 @@ def test_duplicate_completion_first_write_wins():
 # ----------------------------------------------------------------------
 def test_restart_resumes_from_journal(tmp_path):
     journal = str(tmp_path / "journal")
-    job = make_job(journal_dir=journal)
-    store = ArtifactStore()
+    specs = ("figure1", "s27", "figure1")
+    job = make_job(specs=specs, journal_dir=journal)
     # Crash the coordinator after only two units completed.
     for _ in range(2):
         unit = job.lease("w1")["unit"]
         job.complete("w1", unit["unit_id"],
-                     execute(unit["request"], store=store).envelope())
+                     execute(unit["request"]).envelope())
     finished = set(job.completed)
     assert len(finished) == 2
 
-    reborn = make_job(journal_dir=journal)
+    reborn = make_job(specs=specs, journal_dir=journal)
     assert set(reborn.completed) == finished  # partial results survive
-    drain(reborn, store=store)
+    drain(reborn)
     assert reborn.done()
     assert reborn.leases_issued == len(reborn.unit_order) - 2
     # And the merge is the normal full-job answer.
-    fresh = make_job()
-    drain(fresh, store=store)
-    assert (reborn.merge(store, canonical=True).to_json()
-            == fresh.merge(store, canonical=True).to_json())
+    fresh = make_job(specs=specs)
+    drain(fresh)
+    assert (reborn.merge_suite(canonical=True).to_json()
+            == fresh.merge_suite(canonical=True).to_json())
 
 
 def test_journal_ignores_other_jobs(tmp_path):
@@ -255,32 +269,20 @@ def test_journal_ignores_other_jobs(tmp_path):
     job = make_job(journal_dir=journal)
     drain(job)
     # Same journal dir, different job parameters: nothing matches.
-    other = make_job(n_shards=3, journal_dir=journal)
+    other = make_job(modes=("none",), journal_dir=journal)
     assert other.completed == {}
 
 
 # ----------------------------------------------------------------------
-# shard request validation
+# schema v8: the speculative shard kind is gone
 # ----------------------------------------------------------------------
-def test_shard_request_validation():
-    ShardRequest(spec="s27", mode="none", n_shards=2,
-                 shard_index=1).validate()
-    with pytest.raises(ConfigError, match="shard_index"):
-        ShardRequest(spec="s27", mode="none", n_shards=2,
-                     shard_index=2).validate()
-    with pytest.raises(ConfigError, match="n_shards"):
-        ShardRequest(spec="s27", mode="none", n_shards=0).validate()
-    with pytest.raises(ConfigError, match="learned_digest"):
-        ShardRequest(spec="s27", mode="known").validate()
-
-
-def test_shard_rejects_learned_digest_mismatch():
-    request = ShardRequest(spec="figure1", config=tiny_config(),
-                           mode="known", shard_index=0, n_shards=1,
-                           learned_digest="f" * 64)
-    response = execute(request)
+def test_shard_kind_is_a_parse_error_envelope():
+    response = execute({"kind": "shard", "spec": "s27", "mode": "none",
+                        "shard_index": 0, "n_shards": 2})
     assert not response.ok
-    assert "learned_digest" in response.error["message"]
+    assert response.exit_code == 1
+    assert response.error["code"] == "parse"
+    assert "unknown request kind 'shard'" in response.error["message"]
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +302,6 @@ def running_coordinator(**kwargs):
     kwargs.setdefault("specs", ("figure1",))
     kwargs.setdefault("config", tiny_config())
     kwargs.setdefault("modes", ("none", "known"))
-    kwargs.setdefault("n_shards", 2)
     server = make_coordinator(**kwargs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -316,15 +317,15 @@ def test_http_lease_complete_status_health():
     with running_coordinator() as server:
         status, health = http_json("GET", server.url, HEALTH_PATH)
         assert status == 200 and health["ok"]
-        assert health["dist"]["units"] == 5
-        assert "memory_hits" in health["artifact_store"]
-        assert "flight_waits" in health["artifact_store"]
+        assert health["dist"]["units"] == 1
+        assert health["schema_version"] == 8
 
         status, grant = http_json("POST", server.url, LEASE_PATH,
                                   {"worker_id": "w1"})
         assert status == 200
         unit = grant["unit"]
-        assert unit["unit_id"].endswith(":learn")
+        assert unit["unit_id"] == "0:figure1"
+        assert unit["request"]["kind"] == "suite"
         assert grant["heartbeat_s"] > 0
 
         status, beat = http_json("POST", server.url, HEARTBEAT_PATH,
@@ -342,7 +343,7 @@ def test_http_lease_complete_status_health():
         status, progress = http_json("GET", server.url, STATUS_PATH)
         assert status == 200
         assert progress["completed"] == 1
-        assert not progress["done"]
+        assert progress["done"]
 
 
 def test_http_rejects_garbage():
@@ -398,7 +399,7 @@ def test_http_chunked_lease_post_is_decoded():
             server, LEASE_PATH, b"Transfer-Encoding: chunked\r\n",
             (b"%x\r\n" % len(good)) + good + b"\r\n0\r\n\r\n")
         assert status == 200
-        assert grant["unit"]["unit_id"].endswith(":learn")
+        assert grant["unit"]["unit_id"] == "0:figure1"
         assert server.job.status()["leased"] == 1
 
 
@@ -433,44 +434,20 @@ def test_http_malformed_bodies_are_error_envelopes():
         assert server.job.status()["leased"] == 0
 
 
-def test_artifact_endpoint_round_trip(tmp_path):
-    circuit = resolve_circuit("figure1")
-    config = tiny_config()
-    digest = learn_digest(circuit, config.learn)
-    result = learn(circuit, config.learn)
-    payload = (json.dumps(learn_result_to_dict(result, digest=digest),
-                          indent=1) + "\n").encode()
-    store = ArtifactStore(root=str(tmp_path))
-    with running_coordinator(config=config, store=store) as server:
-        status, _ = http_bytes("GET", server.url, artifact_path(digest))
+def test_http_unsupported_method_is_an_error_envelope():
+    with running_coordinator() as server:
+        for method in ("PUT", "DELETE"):
+            status, raw = http_bytes(method, server.url, LEASE_PATH,
+                                     b"{}")
+            assert status == 501
+            assert_http_error(json.loads(raw), "parse",
+                              "Unsupported method")
+        assert server.job.status()["leased"] == 0
+
+
+def test_artifact_endpoints_are_gone():
+    with running_coordinator() as server:
+        status, payload = http_json("GET", server.url,
+                                    "/v1/artifacts/" + "0" * 64)
         assert status == 404
-        status, reply = http_json("PUT", server.url,
-                                  artifact_path(digest),
-                                  json.loads(payload))
-        assert status == 200 and reply["stored"]
-        status, fetched = http_bytes("GET", server.url,
-                                     artifact_path(digest))
-        assert status == 200
-        # Byte-for-byte the canonical wire form: the GET serves the
-        # atomically-written disk file, whose framing matches the
-        # serialized payload exactly.
-        assert fetched == payload
-        # Tampered digests are refused, not stored.
-        status, reply = http_json("PUT", server.url,
-                                  artifact_path("0" * 64),
-                                  json.loads(payload))
-        assert status == 200 and not reply["stored"]
-
-
-def test_put_learn_payload_rejects_digest_mismatch(tmp_path):
-    store = ArtifactStore(root=str(tmp_path))
-    circuit = resolve_circuit("figure1")
-    config = tiny_config()
-    digest = learn_digest(circuit, config.learn)
-    result = learn(circuit, config.learn)
-    payload = (json.dumps(learn_result_to_dict(result, digest=digest),
-                          indent=1) + "\n").encode()
-    assert not store.put_learn_payload("0" * 64, payload)
-    assert not store.put_learn_payload(digest, b"not json")
-    assert store.put_learn_payload(digest, payload)
-    assert store.get_learn_payload(digest) == payload
+        assert_http_error(payload, "parse", "no such endpoint")

@@ -1,36 +1,27 @@
 """End-to-end distributed runs: real coordinator, real worker loops.
 
-The headline contract (the tentpole's acceptance gate): a fleet of N
-workers draining a coordinator produces a canonical suite envelope
-**byte-identical** to a serial one-shot ``suite`` request -- for any N,
-and even when a worker dies mid-shard and its lease is re-issued.
+The headline contract: a fleet of N workers draining a coordinator
+produces a canonical suite envelope **byte-identical** to a serial
+one-shot ``suite`` request and to a ``jobs=2`` pool run -- for any N,
+with failing specs in the list, and even when a worker dies mid-unit
+and its lease is re-issued.
 """
 
-import json
 import socket
 import threading
 import time
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from dataclasses import replace
 
 import pytest
 
-from repro.api import (
-    ArtifactStore,
-    StatsRequest,
-    SuiteRequest,
-    execute,
-    learn_digest,
-)
+from repro.api import ArtifactStore, StatsRequest, SuiteRequest, execute
 from repro.core import LearnConfig
-from repro.core.engine import learn
-from repro.dist import RemoteStore, WorkerLoop
+from repro.dist import WorkerLoop
 from repro.dist.coordinator import make_coordinator
 from repro.dist.protocol import LEASE_PATH, http_bytes, http_json
 from repro.flow import ATPGConfig, ReproConfig
 from repro.flow.config import ATPG_MODES
-from repro.flow.serialize import learn_result_to_dict
-from repro.flow.session import resolve_circuit
 
 SPECS = ("figure1", "s27")
 
@@ -54,7 +45,6 @@ def serial_suite_json(specs=SPECS, config=None,
 def running_coordinator(**kwargs):
     kwargs.setdefault("specs", SPECS)
     kwargs.setdefault("config", tiny_config())
-    kwargs.setdefault("n_shards", 3)
     server = make_coordinator(**kwargs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -90,7 +80,7 @@ def test_fleet_matches_serial_suite_bytes(n_workers):
     with running_coordinator() as server:
         loops = run_fleet(server, n_workers)
         assert server.job.done()
-        merged = server.job.merge(server.store, canonical=True)
+        merged = server.job.merge_suite(canonical=True)
     assert merged.ok
     assert merged.to_json() == serial_suite_json()
     # The fleet actually shared the load: every unit completed exactly
@@ -99,12 +89,32 @@ def test_fleet_matches_serial_suite_bytes(n_workers):
         server.job.unit_order)
 
 
+def test_serial_pool_and_fleet_emit_identical_bytes():
+    """One suite, three executors, one document -- error records too."""
+    specs = ("figure1", "s27", "nosuch")
+    modes = ("none", "known")
+    config = tiny_config()
+    outputs = [serial_suite_json(specs, config, modes)]
+    pooled = execute(SuiteRequest(specs=specs, modes=modes,
+                                  canonical=True,
+                                  config=replace(config, jobs=2)))
+    outputs.append(pooled.to_json())
+    with running_coordinator(specs=specs, config=config,
+                             modes=modes) as server:
+        run_fleet(server, 2)
+        merged = server.job.merge_suite(canonical=True)
+    outputs.append(merged.to_json())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert merged.exit_code == pooled.exit_code == 1
+    assert merged.result["errors"][0]["spec"] == "nosuch"
+    assert merged.result["errors"][0]["stage"] == "resolve"
+
+
 def test_merge_is_idempotent_and_stable():
     with running_coordinator(specs=("s27",)) as server:
         run_fleet(server, 2)
-        first = server.job.merge(server.store, canonical=True).to_json()
-        second = server.job.merge(server.store,
-                                  canonical=True).to_json()
+        first = server.job.merge_suite(canonical=True).to_json()
+        second = server.job.merge_suite(canonical=True).to_json()
     assert first == second
 
 
@@ -126,23 +136,33 @@ def test_worker_death_reissues_lease_and_preserves_bytes():
         assert server.job.leases_expired >= 1
         # The dead worker's unit was re-run by a survivor ...
         assert grant["unit"]["unit_id"] in server.job.completed
-        merged = server.job.merge(server.store, canonical=True)
+        merged = server.job.merge_suite(canonical=True)
     # ... and the output is still the serial bytes.
     assert merged.to_json() == serial_suite_json()
     assert sum(loop.units_completed for loop in survivors) == len(
         server.job.unit_order)
 
 
+class _Quitter(WorkerLoop):
+    """A worker loop that signals when its first unit is delivered."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.first_unit = threading.Event()
+
+    def run_one(self) -> str:
+        step = super().run_one()
+        if step == "ran":
+            self.first_unit.set()
+        return step
+
+
 def test_graceful_stop_drains_and_fleet_recovers():
     with running_coordinator() as server:
-        quitter = WorkerLoop(server.url, worker_id="quitter",
-                             poll_s=0.02)
+        quitter = _Quitter(server.url, worker_id="quitter", poll_s=0.02)
         thread = threading.Thread(target=quitter.run, daemon=True)
         thread.start()
-        deadline = time.monotonic() + 60
-        while (quitter.units_completed < 1
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
+        assert quitter.first_unit.wait(timeout=60)
         assert quitter.units_completed >= 1
         quitter.stop()  # the SIGTERM path: finish current unit, exit
         thread.join(timeout=60)
@@ -151,114 +171,13 @@ def test_graceful_stop_drains_and_fleet_recovers():
         # completed is lost or re-run into disagreement.
         run_fleet(server, 1)
         assert server.job.done()
-        merged = server.job.merge(server.store, canonical=True)
+        merged = server.job.merge_suite(canonical=True)
     assert merged.to_json() == serial_suite_json()
 
 
 # ----------------------------------------------------------------------
-# fleet-shared artifact cache
+# hostile coordinators: garbled transport
 # ----------------------------------------------------------------------
-def test_learn_artifact_is_shared_through_coordinator():
-    config = tiny_config()
-    circuit = resolve_circuit("s27")
-    digest = learn_digest(circuit, config.learn)
-    with running_coordinator(specs=("s27",), config=config) as server:
-        run_fleet(server, 2)
-        assert server.job.done()
-        # Exactly one learn unit exists and completed once; its
-        # artifact landed in the coordinator's store via the network
-        # tier.
-        learn_units = [unit_id for unit_id in server.job.unit_order
-                       if server.job.units[unit_id].kind == "learn"]
-        assert len(learn_units) == 1
-        assert learn_units[0] in server.job.completed
-        assert server.store.has_learn(digest)
-        # A cold store on a new machine gets the artifact from the
-        # coordinator instead of recomputing it.
-        late = RemoteStore(server.url)
-        fetched = late.get_learn(digest, circuit)
-        assert fetched is not None
-        assert late.remote_hits == 1
-        # Second read is a warm local hit, not another network trip.
-        assert late.get_learn(digest, circuit) is not None
-        assert late.remote_hits == 1
-        assert late.stats()["remote_hits"] == 1
-
-
-def test_remote_store_degrades_gracefully_when_unreachable():
-    config = tiny_config()
-    circuit = resolve_circuit("figure1")
-    digest = learn_digest(circuit, config.learn)
-    # Nothing listens here; every remote op must fail soft, fast.
-    store = RemoteStore("http://127.0.0.1:9", timeout=0.2)
-    assert store.get_learn(digest, circuit) is None
-    assert store.remote_errors >= 1
-
-    result = learn(circuit, config.learn)
-    store.put_learn(digest, result)  # upload fails; local tier keeps it
-    assert store.get_learn(digest, circuit) is result
-
-
-# ----------------------------------------------------------------------
-# hostile coordinators: corrupt payloads, garbled transport
-# ----------------------------------------------------------------------
-@contextmanager
-def stub_artifact_server(body: bytes):
-    """An HTTP server that answers every GET with ``body`` verbatim."""
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_GET(self):
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-
-
-@pytest.mark.parametrize("corruption", ["garbage", "not-json",
-                                        "wrong-digest"])
-def test_corrupt_artifact_payload_degrades_to_local_recompute(corruption):
-    """A 200 whose body fails validation is a miss, never an exception.
-
-    ``wrong-digest`` is the sharpest case: a structurally valid learn
-    artifact stamped with a different content address -- digest
-    verification must reject it and the store must degrade to local
-    recompute, counting ``remote_errors``.
-    """
-    config = tiny_config()
-    circuit = resolve_circuit("figure1")
-    digest = learn_digest(circuit, config.learn)
-    result = learn(circuit, config.learn)
-    body = {
-        "garbage": b'{"not": "a learn artifact"}',
-        "not-json": b"\xff\xfe this is not even text",
-        "wrong-digest": json.dumps(
-            learn_result_to_dict(result, digest="0" * 64)).encode(),
-    }[corruption]
-    with stub_artifact_server(body) as url:
-        store = RemoteStore(url, timeout=5.0)
-        assert store.get_learn(digest, circuit) is None
-        assert store.remote_errors == 1
-        assert store.remote_hits == 0
-        # The worker recomputes locally and keeps serving from its own
-        # tiers; the poisoned coordinator is never trusted again for
-        # this digest because the local hit now shadows it.
-        store.put_learn(digest, result)
-        assert store.get_learn(digest, circuit) is result
-
-
 @contextmanager
 def garbled_http_server():
     """A socket that answers any request with a non-HTTP byte salad."""
@@ -294,16 +213,9 @@ def test_garbled_transport_is_normalized_to_oserror():
     with garbled_http_server() as url:
         with pytest.raises(OSError):
             http_bytes("GET", url, "/v1/health", timeout=5.0)
-        # The same failure through RemoteStore degrades to a miss ...
-        config = tiny_config()
-        circuit = resolve_circuit("figure1")
-        store = RemoteStore(url, timeout=5.0)
-        assert store.get_learn(learn_digest(circuit, config.learn),
-                               circuit) is None
-        assert store.remote_errors == 1
-        # ... and through a worker's lease call to "unreachable", not a
-        # crash of the loop.
-        loop = WorkerLoop(url, store=ArtifactStore(), timeout=5.0)
+        # Through a worker's lease call the same failure is
+        # "unreachable", not a crash of the loop.
+        loop = WorkerLoop(url, timeout=5.0)
         assert loop.run_one() == "unreachable"
 
 
@@ -316,15 +228,15 @@ def test_heartbeat_failures_counted_and_announced_once_per_lease(
 
     messages = []
     # Nothing listens on the coordinator port: every beat fails fast.
-    loop = WorkerLoop("http://127.0.0.1:9", store=ArtifactStore(),
-                      timeout=0.2, announce=messages.append)
+    loop = WorkerLoop("http://127.0.0.1:9", timeout=0.2,
+                      announce=messages.append)
 
     class _Done:
         @staticmethod
         def envelope():
             return {"ok": True}
 
-    def slow_execute(request, store=None):
+    def slow_execute(request):
         time.sleep(0.25)  # long enough for several missed beats
         return _Done()
 

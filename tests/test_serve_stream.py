@@ -309,4 +309,4 @@ def test_health_exposes_serve_tier_cache_counters():
                                        "batch": 0}
         assert {"hits", "misses"} <= set(health["kernel_cache"])
         store_stats = health["artifact_store"]
-        assert {"payload_hits", "payload_misses"} <= set(store_stats)
+        assert {"memory_hits", "misses", "flight_waits"} <= set(store_stats)
