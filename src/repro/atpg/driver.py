@@ -194,7 +194,8 @@ def run_atpg(circuit: Circuit, *,
     remaining: List[int] = [i for i in range(len(faults))
                             if i not in status]
     # One dropper serves the whole loop, retiring each fault once it
-    # is decided (targeted or dropped).
+    # is decided (detected, proved untestable, or dropped); an aborted
+    # fault stays live so a later test can still detect it.
     dropper = make_resident_dropper(circuit, faults, remaining,
                                     backend=config.sim_backend)
     targeted = 0
@@ -217,15 +218,16 @@ def run_atpg(circuit: Circuit, *,
             status[index] = "detected"
             dropper.discard(index)
             # Drop everything else this sequence detects.  The dropper
-            # only ever reports live (status-None) faults, and the
-            # targeted fault was retired above, so every hit is a
-            # collateral detection.
+            # only ever reports live faults -- not yet targeted, or
+            # aborted by an earlier search -- and the targeted fault was
+            # retired above, so every hit is a collateral detection.
             for hit in dropper.drop(sequence):
                 status[hit] = "detected"
                 stats.collateral += 1
         else:
             status[index] = result.status
-            dropper.discard(index)
+            if result.status != "aborted":
+                dropper.discard(index)
         if progress is not None:
             progress(targeted, len(remaining))
     for verdict in status.values():

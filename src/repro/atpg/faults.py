@@ -12,7 +12,9 @@ Equivalence collapsing uses the classic structural rules:
 * for AND/NAND (OR/NOR), every input stuck-at the controlling value is
   equivalent to the output stuck at the controlled response;
 * a fanout-free gate input fault is equivalent to the fault on the
-  driving node's output.
+  driving node's output.  A primary output is never fanout-free: its
+  faults are observed at the output itself, so they keep their own
+  class.
 """
 
 from __future__ import annotations
@@ -113,6 +115,11 @@ def collapse_with_classes(circuit: Circuit,
         if f1 in fault_set and f2 in fault_set:
             uf.union(f1, f2)
 
+    outputs = set(circuit.outputs)
+
+    def fanout_free(nid: int) -> bool:
+        return len(circuit.nodes[nid].fanouts) == 1 and nid not in outputs
+
     for node in circuit.nodes:
         t = node.gate_type
         if t in (GateType.NOT, GateType.BUF):
@@ -121,7 +128,7 @@ def collapse_with_classes(circuit: Circuit,
             for v in (ZERO, ONE):
                 out_v = (1 - v) if invert else v
                 out = Fault(node.nid, None, out_v)
-                if len(circuit.nodes[src].fanouts) == 1:
+                if fanout_free(src):
                     merge(Fault(src, None, v), out)
                 else:
                     merge(Fault(node.nid, 0, v), out)
@@ -130,7 +137,7 @@ def collapse_with_classes(circuit: Circuit,
             response = CONTROLLED_RESPONSE[t]
             out = Fault(node.nid, None, response)
             for pin, src in enumerate(node.fanins):
-                if len(circuit.nodes[src].fanouts) == 1:
+                if fanout_free(src):
                     merge(Fault(src, None, c), out)
                 else:
                     merge(Fault(node.nid, pin, c), out)

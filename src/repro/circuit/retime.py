@@ -26,23 +26,6 @@ from .gates import GateType
 from .netlist import Circuit
 
 
-def _clone_into_builder(circuit: Circuit, name: str) -> CircuitBuilder:
-    b = CircuitBuilder(name)
-    b.inputs(*[circuit.nodes[i].name for i in circuit.inputs])
-    for fid in circuit.ffs:
-        node = circuit.nodes[fid]
-        b.dff(node.name, circuit.nodes[node.fanins[0]].name,
-              gate_type=node.gate_type, clock=node.clock, phase=node.phase,
-              set_kind=node.set_kind, reset_kind=node.reset_kind,
-              num_ports=node.num_ports)
-    for nid in circuit.topo_order:
-        node = circuit.nodes[nid]
-        b.gate(node.name, node.gate_type,
-               *[circuit.nodes[f].name for f in node.fanins])
-    b.output(*[circuit.nodes[o].name for o in circuit.outputs])
-    return b
-
-
 def retime_backward(circuit: Circuit, ff_name: str,
                     new_name: Optional[str] = None) -> Circuit:
     """Move one FF backward across its driving gate.

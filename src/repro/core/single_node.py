@@ -14,10 +14,10 @@ Two execution paths produce identical :class:`SingleNodeData`:
 
 * the **reference path** drives :class:`~repro.sim.eventsim.
   FrameSimulator` once per (stem, value) -- 2x injections per stem;
-* the **batched path** (the default whenever no coupled knowledge is in
-  play, i.e. the phase-one runs of every clock-domain class) packs up to
-  ``batch_width`` injections into one bit per machine of a two-plane
-  run, amortizing gate evaluation across the whole batch.  Per-machine
+* the **batched path** (``backend='compiled'``, the default, whenever
+  no coupled knowledge is in play, i.e. the phase-one runs of every
+  clock-domain class) packs up to :data:`DEFAULT_COMPILED_BATCH`
+  injections into one bit per machine of a two-plane run, amortizing gate evaluation across the whole batch.  Per-machine
   stop rules (state repeat / dead state) mirror the event simulator
   exactly; the rare stem whose opposite value is already derivable from
   tie constants -- the only way an injection can conflict -- falls back
@@ -42,7 +42,7 @@ from ..sim.compiled import SIM_BACKENDS, compile_circuit
 from ..sim.eventsim import FrameSimulator, InjectionResult
 from .relations import RelationDB
 
-#: Machine count per compiled-kernel batch when ``batch_width=None``.
+#: Machine count per compiled-kernel batch.
 DEFAULT_COMPILED_BATCH = 128
 
 #: (stem, stem value, frame offset) -- one way a node value is produced.
@@ -85,22 +85,15 @@ def _normalized(result: InjectionResult) -> InjectionResult:
 def run_single_node(simulator: FrameSimulator,
                     stems: Optional[List[int]] = None,
                     max_frames: int = 50, *,
-                    batched: Optional[bool] = None,
-                    batch_width: Optional[int] = None,
                     backend: str = "compiled") -> SingleNodeData:
     """Inject 0 and 1 on every stem and record forward implications.
 
-    ``batched=None`` (the default) packs injections into batched
-    two-plane runs whenever the simulator carries no coupled knowledge
+    ``backend`` selects the execution path: 'compiled' packs the
+    injections into batched two-plane runs, 'reference' runs the event
+    simulator per injection.  A simulator carrying coupled knowledge
     (ties/equivalences from earlier phases couple values in ways the
-    packed evaluator does not model); ``True``/``False`` force the
-    choice -- forcing ``True`` still routes coupled simulators through
-    the reference path.  ``backend='reference'`` disables batching
-    entirely; 'compiled' runs the batches on the compiled kernels.
-    ``batch_width`` is the machine count per batch (``None`` =
-    :data:`DEFAULT_COMPILED_BATCH`).  A pure packing /
-    evaluation-strategy knob: results are identical for every
-    combination.
+    packed evaluator does not model) always takes the reference path.
+    Results are identical for both.
     """
     if backend not in SIM_BACKENDS:
         raise ValueError(f"unknown sim backend {backend!r}; "
@@ -110,17 +103,12 @@ def run_single_node(simulator: FrameSimulator,
         stems = circuit.fanout_stems()
     data = SingleNodeData()
     constants = simulator._constants
-    use_batched = batched if batched is not None else True
-    if backend == "reference":
-        use_batched = False
-    if simulator.coupling.ties or simulator.coupling.equiv:
-        use_batched = False
+    coupled = simulator.coupling.ties or simulator.coupling.equiv
     runs: Dict[Tuple[int, int], InjectionResult] = {}
-    if use_batched:
+    if backend == "compiled" and not coupled:
         live = [s for s in stems if s not in constants]
         if live:
-            runs = _batched_runs(simulator, live, max_frames,
-                                 batch_width)
+            runs = _batched_runs(simulator, live, max_frames)
     for stem in stems:
         if stem in constants:
             data.skipped_stems.append(stem)
@@ -144,7 +132,7 @@ def run_single_node(simulator: FrameSimulator,
 # batched injections over the compiled two-plane evaluator
 # ----------------------------------------------------------------------
 def _batched_runs(simulator: FrameSimulator, stems: List[int],
-                  max_frames: int, width: Optional[int] = None
+                  max_frames: int
                   ) -> Dict[Tuple[int, int], InjectionResult]:
     """Simulate both injections of many stems bit-parallel.
 
@@ -157,8 +145,6 @@ def _batched_runs(simulator: FrameSimulator, stems: List[int],
     """
     circuit = simulator.circuit
     cc = compile_circuit(circuit)
-    if width is None:
-        width = DEFAULT_COMPILED_BATCH
     # Frame-0 values derivable with no injection at all (tie cones):
     # the only values an injection can collide with.
     baseline = simulator.run({}, max_frames=1).frames[0]
@@ -170,9 +156,9 @@ def _batched_runs(simulator: FrameSimulator, stems: List[int],
                 pairs.append((stem, value))
     ff_allow = ff_transfer_allow(simulator, cc)
     out: Dict[Tuple[int, int], InjectionResult] = {}
-    for start in range(0, len(pairs), width):
-        out.update(_run_batch(cc, pairs[start:start + width],
-                              max_frames, ff_allow))
+    for start in range(0, len(pairs), DEFAULT_COMPILED_BATCH):
+        batch = pairs[start:start + DEFAULT_COMPILED_BATCH]
+        out.update(_run_batch(cc, batch, max_frames, ff_allow))
     return out
 
 

@@ -8,10 +8,10 @@ worker runs with :func:`repro.api.execute`, i.e. the pool's own
 :func:`~repro.flow.parallel_suite.run_task`:
 
 * :mod:`repro.dist.protocol` -- the JSON-over-HTTP wire protocol
-  (lease / complete / heartbeat / status).
-* :mod:`repro.dist.coordinator` -- one unit per spec, work-stealing
-  pull scheduling, lease timeouts, bounded retries, journaled restart,
-  and the suite merge in spec order (``repro coordinator``).
+  (lease / complete / heartbeat / health).
+* :mod:`repro.dist.coordinator` -- one unit per spec, pull scheduling
+  with one lease per unit, lease timeouts, bounded retries, journaled
+  restart, and the suite merge in spec order (``repro coordinator``).
 * :mod:`repro.dist.worker` -- the lease/execute/complete loop with
   heartbeats and graceful SIGTERM drain (``repro worker``).
 

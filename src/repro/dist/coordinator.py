@@ -13,17 +13,17 @@ between them and nothing is resolved at plan time: an unresolvable
 spec fails inside its worker with the same ``stage="resolve"`` record
 a serial run writes.
 
-Scheduling is **pull-based work stealing**: workers ask for work when
-idle, so fast workers naturally drain more units; when nothing is
-pending the coordinator hands out a *duplicate* lease on the oldest
-in-flight unit (bounded), so one straggler cannot hold the job hostage
--- first completion wins, the loser's duplicate is ignored.  Every
-lease has a deadline extended by heartbeats; an expired lease re-queues
-the unit, and a unit that keeps failing (worker deaths, error
-envelopes) is bounded-retried before its circuit is recorded as failed
-(``stage="worker"`` for lease expiry) -- the same attribution contract
-as :mod:`repro.flow.parallel_suite`'s solo retry.  A failing circuit
-never fails the job.
+Scheduling is **pull-based**: workers ask for work when idle, so fast
+workers naturally drain more units.  Each unit is in exactly one state
+-- pending, leased (to one worker at a time), completed or failed --
+and nothing is ever run speculatively: a slow worker that keeps
+heartbeating finishes its own unit, as a slow process of the local pool
+does.  A lease has a deadline extended by heartbeats; an expired lease
+(a dead worker) re-queues the unit, and a unit that keeps failing
+(worker deaths, error envelopes) is bounded-retried before its circuit
+is recorded as failed (``stage="worker"`` for lease expiry) -- the same
+attribution contract as :mod:`repro.flow.parallel_suite`'s solo retry.
+A failing circuit never fails the job.
 
 Completed unit envelopes are journaled to disk (keyed by a digest of
 the whole job), so a restarted coordinator resumes from partial
@@ -60,7 +60,6 @@ from .protocol import (
     HEALTH_PATH,
     HEARTBEAT_PATH,
     LEASE_PATH,
-    STATUS_PATH,
 )
 
 __all__ = ["DistUnit", "DistJob", "CoordinatorServer",
@@ -72,7 +71,6 @@ class DistUnit:
     """One leasable unit of work: one circuit spec's suite request."""
 
     unit_id: str
-    index: int
     spec: str
     request: Dict[str, object]
 
@@ -81,7 +79,6 @@ class DistUnit:
 class _Lease:
     worker_id: str
     deadline: float
-    issued_at: float
 
 
 class DistJob:
@@ -89,15 +86,14 @@ class DistJob:
 
     All transitions happen under one lock, driven by worker HTTP calls;
     expired leases are reaped lazily on every lease/complete/status
-    call, so the job needs no timer thread of its own.
+    call, so the job needs no timer thread of its own.  The three maps
+    ``leases``, ``completed`` and ``failed`` are keyed by unit id and
+    disjoint; a unit in none of them is pending.
     """
 
     #: A unit is terminally failed (failing its circuit) after this
     #: many lease expiries / error completions.
     MAX_ATTEMPTS = 3
-    #: Cap on concurrent leases per unit: the primary plus this many
-    #: stolen duplicates.
-    MAX_LEASES_PER_UNIT = 2
 
     def __init__(self, specs: Sequence[str],
                  config: Optional[ReproConfig] = None,
@@ -120,7 +116,7 @@ class DistJob:
         self.unit_order: List[str] = []
         for index, spec in enumerate(self.specs):
             unit = DistUnit(
-                unit_id=f"{index}:{spec}", index=index, spec=spec,
+                unit_id=f"{index}:{spec}", spec=spec,
                 request=SuiteRequest(specs=(spec,),
                                      config=self.unit_config,
                                      modes=self.modes).to_dict())
@@ -129,12 +125,11 @@ class DistJob:
         self.completed: Dict[str, Dict[str, object]] = {}
         self.attempts: Dict[str, int] = {
             unit_id: 0 for unit_id in self.unit_order}
-        self.leases: Dict[str, List[_Lease]] = {}
-        #: circuit index -> error record of a terminally failed unit.
-        self.circuit_errors: Dict[int, Dict[str, str]] = {}
+        self.leases: Dict[str, _Lease] = {}
+        #: unit id -> error record of a terminally failed unit.
+        self.failed: Dict[str, Dict[str, str]] = {}
         self.leases_issued = 0
         self.leases_expired = 0
-        self.steals = 0
         self.duplicate_completions = 0
 
         self.job_digest = hashlib.sha256(canonical_json({
@@ -190,92 +185,48 @@ class DistJob:
     # scheduling (all under self.lock)
     # ------------------------------------------------------------------
     def _settled(self, unit_id: str) -> bool:
-        return (unit_id in self.completed
-                or self.units[unit_id].index in self.circuit_errors)
+        return unit_id in self.completed or unit_id in self.failed
 
     def _reap_expired(self) -> None:
         now = self.clock()
-        for unit_id, leases in list(self.leases.items()):
-            if self._settled(unit_id):
-                del self.leases[unit_id]
+        for unit_id, lease in list(self.leases.items()):
+            if lease.deadline > now:
                 continue
-            live = [lease for lease in leases if lease.deadline > now]
-            expired = len(leases) - len(live)
-            if expired:
-                self.leases_expired += expired
-                self.attempts[unit_id] += expired
-            if live:
-                self.leases[unit_id] = live
-            else:
-                del self.leases[unit_id]
-                if self.attempts[unit_id] >= self.MAX_ATTEMPTS:
-                    self._fail_unit(
-                        unit_id,
-                        f"worker lease expired {self.attempts[unit_id]} "
-                        "times while running this unit")
-
-    def _fail_unit(self, unit_id: str, message: str,
-                   stage: str = "worker") -> None:
-        unit = self.units[unit_id]
-        self.circuit_errors[unit.index] = error_record(
-            unit.spec, message, stage)
-        self.leases.pop(unit_id, None)
+            del self.leases[unit_id]
+            self.leases_expired += 1
+            self.attempts[unit_id] += 1
+            if self.attempts[unit_id] >= self.MAX_ATTEMPTS:
+                self.failed[unit_id] = error_record(
+                    self.units[unit_id].spec,
+                    f"worker lease expired {self.attempts[unit_id]} "
+                    "times while running this unit", "worker")
 
     def lease(self, worker_id: str) -> Dict[str, object]:
         with self.lock:
             self._reap_expired()
-            now = self.clock()
-            chosen: Optional[str] = None
-            stolen = False
             for unit_id in self.unit_order:
                 if not self._settled(unit_id) and unit_id not in self.leases:
-                    chosen = unit_id
                     break
-            if chosen is None:
-                # Work stealing: nothing pending, so double up on the
-                # longest-running in-flight unit (bounded) -- a dead or
-                # slow worker's unit gets a second runner without
-                # waiting out the lease.
-                candidates = [
-                    (min(lease.issued_at for lease in leases), unit_id)
-                    for unit_id, leases in self.leases.items()
-                    if len(leases) < self.MAX_LEASES_PER_UNIT
-                    and not any(lease.worker_id == worker_id
-                                for lease in leases)]
-                if candidates:
-                    candidates.sort()
-                    chosen = candidates[0][1]
-                    stolen = True
-            if chosen is None:
-                return {"unit": None, "done": self._done_locked(),
-                        "retry_after": min(1.0,
-                                           self.lease_timeout_s / 10)}
-            self.leases.setdefault(chosen, []).append(_Lease(
+            else:
+                return {"unit": None, "done": self._done_locked()}
+            self.leases[unit_id] = _Lease(
                 worker_id=worker_id,
-                deadline=now + self.lease_timeout_s,
-                issued_at=now))
+                deadline=self.clock() + self.lease_timeout_s)
             self.leases_issued += 1
-            if stolen:
-                self.steals += 1
             return {
-                "unit": {"unit_id": chosen,
-                         "request": dict(self.units[chosen].request)},
-                "lease_timeout_s": self.lease_timeout_s,
+                "unit": {"unit_id": unit_id,
+                         "request": dict(self.units[unit_id].request)},
                 "heartbeat_s": max(0.05, self.lease_timeout_s / 3),
             }
 
     def heartbeat(self, worker_id: str, unit_id: str) -> Dict[str, object]:
         with self.lock:
-            leases = self.leases.get(unit_id, [])
-            for lease in leases:
-                if lease.worker_id == worker_id:
-                    lease.deadline = self.clock() + self.lease_timeout_s
-                    return {"ok": True}
-            # Lease gone: expired, stolen-and-finished, or failed.
-            # Tell the worker whether the unit is past saving.
-            return {"ok": False,
-                    "abandon": (unit_id in self.units
-                                and self._settled(unit_id))}
+            lease = self.leases.get(unit_id)
+            if lease is None or lease.worker_id != worker_id:
+                # Expired and re-leased, completed, or failed.
+                return {"ok": False}
+            lease.deadline = self.clock() + self.lease_timeout_s
+            return {"ok": True}
 
     def complete(self, worker_id: str, unit_id: str,
                  envelope: Dict[str, object]) -> Dict[str, object]:
@@ -284,23 +235,23 @@ class DistJob:
             if unit_id not in self.units:
                 return {"accepted": False, "unknown": True}
             if unit_id in self.completed:
-                # First write won; a stolen duplicate (or a worker that
-                # outlived its lease) is simply late.
+                # First write won; a worker that outlived its lease is
+                # simply late.
                 self.duplicate_completions += 1
                 return {"accepted": False, "duplicate": True}
-            self.leases.pop(unit_id, None)
-            if self._settled(unit_id):
+            if unit_id in self.failed:
                 return {"accepted": False, "failed": True}
+            self.leases.pop(unit_id, None)
             if not envelope.get("ok", False):
                 self.attempts[unit_id] += 1
                 error = envelope.get("error") or {}
                 if self.attempts[unit_id] >= self.MAX_ATTEMPTS:
-                    self._fail_unit(
-                        unit_id,
+                    self.failed[unit_id] = error_record(
+                        self.units[unit_id].spec,
                         str(error.get("message", "unit failed")),
-                        stage=str(error.get("stage", "worker")))
+                        str(error.get("stage", "worker")))
                 return {"accepted": True,
-                        "retrying": not self._settled(unit_id)}
+                        "retrying": unit_id not in self.failed}
             self.completed[unit_id] = envelope
             self._journal_write(unit_id, envelope)
             return {"accepted": True}
@@ -316,18 +267,15 @@ class DistJob:
     def status(self) -> Dict[str, object]:
         with self.lock:
             self._reap_expired()
-            pending = [unit_id for unit_id in self.unit_order
-                       if not self._settled(unit_id)
-                       and unit_id not in self.leases]
             return {
                 "units": len(self.unit_order),
-                "pending": len(pending),
+                "pending": (len(self.unit_order) - len(self.leases)
+                            - len(self.completed) - len(self.failed)),
                 "leased": len(self.leases),
                 "completed": len(self.completed),
-                "failed_circuits": len(self.circuit_errors),
+                "failed_circuits": len(self.failed),
                 "leases_issued": self.leases_issued,
                 "leases_expired": self.leases_expired,
-                "steals": self.steals,
                 "duplicate_completions": self.duplicate_completions,
                 "done": self._done_locked(),
             }
@@ -347,15 +295,14 @@ class DistJob:
         """
         report = SuiteReport()
         for unit_id in self.unit_order:
-            unit = self.units[unit_id]
-            error = self.circuit_errors.get(unit.index)
+            error = self.failed.get(unit_id)
             envelope = self.completed.get(unit_id, {})
             reports = envelope.get("reports")
             errors = envelope.get("errors")
             if error is None and not (isinstance(reports, list)
                                       and isinstance(errors, list)):
                 error = error_record(
-                    unit.spec, "worker returned a malformed suite "
+                    self.units[unit_id].spec, "worker returned a malformed suite "
                     "envelope", "worker")
             if error is not None:
                 report.errors.append(dict(error))
@@ -415,8 +362,6 @@ class _Handler(JSONRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 (http.server contract)
         if self.path == HEALTH_PATH:
             self._send_json(200, self.server.health())
-        elif self.path == STATUS_PATH:
-            self._send_json(200, self.server.job.status())
         else:
             self._no_endpoint()
 

@@ -5,27 +5,26 @@ The coordinator speaks JSON over HTTP on a handful of fixed paths
 no dependencies, same idiom as :mod:`repro.serve.daemon`):
 
 ``POST /v1/dist/lease``
-    Body ``{"worker_id"}``.  Pull scheduling *is* the work stealing:
-    an idle worker asks, the coordinator answers with the next ready
-    unit -- or a duplicate lease on a straggler's unit when nothing is
-    pending.  Answer: ``{"unit": {"unit_id", "request"}, "lease_
-    timeout_s", "heartbeat_s"}``, or ``{"unit": null, "done": bool,
-    "retry_after": s}``.
+    Body ``{"worker_id"}``.  An idle worker asks, the coordinator
+    answers with the next pending unit, leased to that worker alone:
+    ``{"unit": {"unit_id", "request"}, "heartbeat_s"}``, or ``{"unit":
+    null, "done": bool}`` when nothing is pending.
 
 ``POST /v1/dist/complete``
     Body ``{"worker_id", "unit_id", "response": <envelope>}`` where
     ``response`` is the versioned envelope ``repro.api.execute``
-    produced for the unit's request.  First completion wins;
-    duplicates answer ``{"accepted": false, "duplicate": true}``.
+    produced for the unit's request.  First completion wins; a worker
+    that outlived its lease and reports late gets ``{"accepted": false,
+    "duplicate": true}``.
 
 ``POST /v1/dist/heartbeat``
-    Body ``{"worker_id", "unit_id"}``; extends the lease deadline.
-
-``GET /v1/dist/status``
-    Scheduler counters (pending / leased / completed / failed).
+    Body ``{"worker_id", "unit_id"}``; extends the lease deadline and
+    answers ``{"ok": true}``, or ``{"ok": false}`` when the worker no
+    longer holds the lease.
 
 ``GET /v1/health``
-    Liveness + scheduler statistics.
+    Liveness + scheduler counters under ``"dist"`` (pending / leased /
+    completed / failed).
 
 Unit requests are ordinary one-spec ``suite`` documents of
 :mod:`repro.api.requests`, so a worker is just ``execute()`` behind a
@@ -40,14 +39,13 @@ import urllib.parse
 from typing import Dict, Optional, Tuple
 
 __all__ = [
-    "LEASE_PATH", "COMPLETE_PATH", "HEARTBEAT_PATH", "STATUS_PATH",
-    "HEALTH_PATH", "http_json", "http_bytes",
+    "LEASE_PATH", "COMPLETE_PATH", "HEARTBEAT_PATH", "HEALTH_PATH",
+    "http_json", "http_bytes",
 ]
 
 LEASE_PATH = "/v1/dist/lease"
 COMPLETE_PATH = "/v1/dist/complete"
 HEARTBEAT_PATH = "/v1/dist/heartbeat"
-STATUS_PATH = "/v1/dist/status"
 HEALTH_PATH = "/v1/health"
 
 

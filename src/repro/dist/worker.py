@@ -3,9 +3,9 @@
 A worker is deliberately thin: it pulls a unit (one circuit's suite
 request) from the coordinator, runs it through the ordinary
 :func:`repro.api.execute` and POSTs the resulting envelope back.
-Everything interesting -- scheduling, retries, stealing, merging --
-lives on the coordinator; a worker can be killed at any moment and the
-job still converges.
+Everything interesting -- scheduling, retries, merging -- lives on the
+coordinator; a worker can be killed at any moment and the job still
+converges.
 
 While a unit runs, a background thread heartbeats its lease at the
 cadence the coordinator asked for, so long PODEM stages on slow
@@ -68,25 +68,21 @@ class WorkerLoop:
         self.announce = announce
         self.units_completed = 0
         self.units_failed = 0
-        #: Heartbeat POSTs that failed in transport.  A missed beat only
-        #: shortens the lease, but a *streak* of them means the
-        #: coordinator may already have reaped and re-leased the unit
-        #: this worker is still burning CPU on -- so failures are
-        #: counted (and announced once per lease), never swallowed.
-        self.heartbeat_errors = 0
         #: Counted degrade paths (the R006 taxonomy): failures the loop
         #: survives are tallied per short code -- ``io`` for transport
-        #: trouble -- so a drain summary can show what was absorbed
-        #: instead of the errors vanishing into a log nobody reads.
+        #: trouble, e.g. every failed heartbeat -- so a drain summary
+        #: can show what was absorbed instead of the errors vanishing
+        #: into a log nobody reads.
         self.degrade_counts: Dict[str, int] = {}
         self._stop = threading.Event()
 
     # ------------------------------------------------------------------
-    def _degrade(self, code: str, message: str) -> None:
-        """Count a survivable failure and announce it (the counted
-        degrade path; every absorbed error must pass through here)."""
+    def _degrade(self, code: str, message: Optional[str]) -> None:
+        """Count a survivable failure and announce it unless
+        ``message`` is None (the counted degrade path; every absorbed
+        error must pass through here)."""
         self.degrade_counts[code] = self.degrade_counts.get(code, 0) + 1
-        if self.announce is not None:
+        if self.announce is not None and message is not None:
             self.announce(
                 f"repro worker {self.worker_id}: [{code}] {message}")
 
@@ -118,13 +114,10 @@ class WorkerLoop:
                     # lets the coordinator reap and re-lease the unit
                     # while this worker keeps computing it.  Count every
                     # failure, announce the first one per lease.
-                    self.heartbeat_errors += 1
-                    if not warned:
-                        warned = True
-                        self._degrade(
-                            "io",
-                            f"heartbeat for unit {unit_id} failed "
-                            f"({exc}); lease may be reaped")
+                    self._degrade("io", None if warned else (
+                        f"heartbeat for unit {unit_id} failed "
+                        f"({exc}); lease may be reaped"))
+                    warned = True
 
         beater = threading.Thread(target=beat, daemon=True,
                                   name=f"repro-worker-beat-{unit_id}")
@@ -233,9 +226,7 @@ def run_worker(coordinator_url: str, jobs: int = 1,
                 for code, count in sorted(loop.degrade_counts.items()))
             announce(f"repro worker: drained after "
                      f"{loop.units_completed} unit(s), "
-                     f"{loop.units_failed} failed, "
-                     f"{loop.heartbeat_errors} heartbeat error(s)"
-                     f"{degraded}")
+                     f"{loop.units_failed} failed{degraded}")
         return 0
     ctx = multiprocessing.get_context()
     processes = [ctx.Process(target=_worker_process_main,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..api.errors import CancelledFailure, DeadlineExceeded
 
@@ -50,7 +50,6 @@ class CancelToken:
 
     def __init__(self, deadline_s: Optional[float] = None):
         self._lock = threading.Lock()
-        self._callbacks: List[Callable[[str], None]] = []
         self._reason: Optional[str] = None
         #: Absolute monotonic instant the deadline expires (None = no
         #: deadline).  Immutable after construction.
@@ -70,35 +69,12 @@ class CancelToken:
         return self.reason is not None
 
     def cancel(self, reason: str) -> bool:
-        """Cancel (first call wins); returns whether this call won.
-
-        Registered callbacks run exactly once, outside the lock, with
-        their exceptions suppressed -- a callback is notification, not
-        control flow.
-        """
+        """Cancel (first call wins); returns whether this call won."""
         with self._lock:
             if self._reason is not None:
                 return False
             self._reason = reason
-            callbacks = list(self._callbacks)
-        for callback in callbacks:
-            try:
-                callback(reason)
-            except Exception:
-                pass
         return True
-
-    def on_cancel(self, callback: Callable[[str], None]) -> None:
-        """Register a callback; fires immediately if already cancelled."""
-        with self._lock:
-            if self._reason is None:
-                self._callbacks.append(callback)
-                return
-            reason = self._reason
-        try:
-            callback(reason)
-        except Exception:
-            pass
 
     def set_probe(self,
                   probe: Optional[Callable[[], Optional[str]]]) -> None:

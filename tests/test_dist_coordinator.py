@@ -1,4 +1,4 @@
-"""Coordinator scheduling: circuit units, leases, stealing, retries,
+"""Coordinator scheduling: circuit units, one lease per unit, retries,
 journal, wire.
 
 `DistJob` is driven directly with an injected fake clock, so every
@@ -21,7 +21,6 @@ from repro.dist.protocol import (
     HEALTH_PATH,
     HEARTBEAT_PATH,
     LEASE_PATH,
-    STATUS_PATH,
     http_bytes,
     http_json,
 )
@@ -72,7 +71,7 @@ def test_plan_builds_one_suite_unit_per_spec():
     assert job.unit_order == ["0:figure1", "1:s27", "2:figure1"]
     for index, unit_id in enumerate(job.unit_order):
         unit = job.units[unit_id]
-        assert unit.index == index
+        assert unit.spec == job.specs[index]
         # The unit is exactly the request the local pool's unit runs:
         # one spec, the whole mode list, a jobs=1 config.
         assert unit.request == SuiteRequest(
@@ -81,7 +80,7 @@ def test_plan_builds_one_suite_unit_per_spec():
         assert not hasattr(unit, "deps")
 
 
-def test_plan_skips_learn_when_no_learning_mode():
+def test_none_mode_units_report_no_learning():
     job = make_job(specs=("figure1", "s27"), modes=("none",))
     requests = [job.units[u].request for u in job.unit_order]
     assert [r["kind"] for r in requests] == ["suite", "suite"]
@@ -97,7 +96,7 @@ def test_unresolvable_spec_error_matches_run_suite():
     job = make_job(specs=specs)
     # Nothing is resolved at plan time: the bad spec is a unit too, and
     # its worker records the failure exactly as a serial run does.
-    assert len(job.unit_order) == 2 and job.circuit_errors == {}
+    assert len(job.unit_order) == 2 and job.failed == {}
     drain(job)
     response = job.merge_suite(canonical=True)
     assert response.exit_code == 1
@@ -133,10 +132,9 @@ def test_heartbeat_extends_lease():
     job.status()  # forces a reap pass
     assert job.leases_expired == 0
     assert unit_id in job.leases
-    # A heartbeat for a lease the worker no longer holds says abandon
-    # only once the unit cannot be completed usefully anymore.
-    assert job.heartbeat("ghost", unit_id) == {"ok": False,
-                                               "abandon": False}
+    # A heartbeat for a lease the worker does not hold extends nothing.
+    assert job.heartbeat("ghost", unit_id) == {"ok": False}
+    assert job.leases[unit_id].worker_id == "w1"
 
 
 def test_repeated_expiry_fails_circuit_with_worker_stage():
@@ -150,11 +148,10 @@ def test_repeated_expiry_fails_circuit_with_worker_stage():
     clock.advance(6.0)
     # Third expiry is terminal: figure1 fails, and the next lease hands
     # out s27's unit instead.
-    index = job.units[doomed].index
     granted = job.lease("w1")["unit"]
-    assert job.circuit_errors[index]["stage"] == "worker"
-    assert "expired" in job.circuit_errors[index]["error"]
-    assert job.units[granted["unit_id"]].index != index
+    assert job.failed[doomed]["stage"] == "worker"
+    assert "expired" in job.failed[doomed]["error"]
+    assert granted["unit_id"] != doomed
     # The healthy circuit still completes; the job never wedges.
     job.complete("w1", granted["unit_id"],
                  execute(granted["request"]).envelope())
@@ -179,7 +176,7 @@ def test_error_envelope_bounded_retry_then_circuit_error():
         else:
             assert not reply["retrying"]
     # Attribution preserves the failing stage from the envelope.
-    error = job.circuit_errors[0]
+    error = job.failed[unit_id]
     assert error["stage"] == "learn"
     assert error["error"] == "engine exploded"
     assert job.done()
@@ -202,35 +199,37 @@ def test_malformed_suite_envelope_is_a_worker_error():
 
 
 # ----------------------------------------------------------------------
-# work stealing + duplicate completion
+# one lease per unit + late completion
 # ----------------------------------------------------------------------
-def test_steal_duplicates_oldest_inflight_unit():
+def test_one_lease_per_unit():
     clock = FakeClock()
     job = make_job(specs=("figure1", "s27"), modes=("none",),
-                   clock=clock)
-    first = job.lease("w1")["unit"]["unit_id"]
-    clock.advance(1.0)
+                   lease_timeout_s=10.0, clock=clock)
+    first = job.lease("w1")
     second = job.lease("w2")["unit"]["unit_id"]
-    assert first != second
-    # Nothing pending now; idle workers duplicate the longest-running
-    # in-flight unit first.
-    assert job.lease("w3")["unit"]["unit_id"] == first
-    assert job.lease("w4")["unit"]["unit_id"] == second
-    assert job.steals == 2
-    # Both units sit at MAX_LEASES_PER_UNIT now (and a holder never
-    # steals its own unit), so further askers go empty-handed.
-    assert job.lease("w5")["unit"] is None
+    assert set(first) == {"unit", "heartbeat_s"}
+    assert first["unit"]["unit_id"] != second
+    # Nothing pending: idle workers go empty-handed, holders included,
+    # however long the leased units have been running.
+    clock.advance(9.0)
+    assert job.lease("w3") == {"unit": None, "done": False}
     assert job.lease("w1")["unit"] is None
-    assert not job.lease("w1")["done"]
+    assert job.leases_issued == 2
+    # Only expiry frees a unit for another worker.
+    clock.advance(2.0)
+    assert job.lease("w3")["unit"]["unit_id"] == first["unit"]["unit_id"]
+    assert job.leases[first["unit"]["unit_id"]].worker_id == "w3"
 
 
 def test_duplicate_completion_first_write_wins():
-    job = make_job(modes=("none",))
+    clock = FakeClock()
+    job = make_job(modes=("none",), lease_timeout_s=10.0, clock=clock)
     unit = job.lease("w1")["unit"]
-    job.lease("w2")  # steal: both workers now run the same unit
+    clock.advance(11.0)  # w1 outlives its lease; w2 re-runs the unit
+    assert job.lease("w2")["unit"]["unit_id"] == unit["unit_id"]
     winner = execute(unit["request"]).envelope()
-    assert job.complete("w1", unit["unit_id"], winner)["accepted"]
-    late = job.complete("w2", unit["unit_id"], winner)
+    assert job.complete("w2", unit["unit_id"], winner)["accepted"]
+    late = job.complete("w1", unit["unit_id"], winner)
     assert late == {"accepted": False, "duplicate": True}
     assert job.duplicate_completions == 1
     assert job.completed[unit["unit_id"]] is winner
@@ -315,6 +314,10 @@ def running_coordinator(**kwargs):
 
 def test_http_lease_complete_status_health():
     with running_coordinator() as server:
+        # Scheduler counters are served only through /v1/health.
+        status, _ = http_json("GET", server.url, "/v1/dist/status")
+        assert status == 404
+
         status, health = http_json("GET", server.url, HEALTH_PATH)
         assert status == 200 and health["ok"]
         assert health["dist"]["units"] == 1
@@ -340,10 +343,11 @@ def test_http_lease_complete_status_health():
              "response": envelope})
         assert status == 200 and reply["accepted"]
 
-        status, progress = http_json("GET", server.url, STATUS_PATH)
+        status, health = http_json("GET", server.url, HEALTH_PATH)
         assert status == 200
-        assert progress["completed"] == 1
-        assert progress["done"]
+        assert health["dist"] == server.job.status()
+        assert health["dist"]["completed"] == 1
+        assert health["dist"]["done"]
 
 
 def test_http_rejects_garbage():

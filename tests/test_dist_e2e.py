@@ -123,9 +123,6 @@ def test_merge_is_idempotent_and_stable():
 # ----------------------------------------------------------------------
 def test_worker_death_reissues_lease_and_preserves_bytes():
     with running_coordinator(lease_timeout_s=0.5) as server:
-        # Disable stealing so the recovery must come from lease expiry,
-        # the path a silently dead worker exercises.
-        server.job.MAX_LEASES_PER_UNIT = 1
         # A worker leases a unit and is then killed: no heartbeat, no
         # completion, nothing.
         status, grant = http_json("POST", server.url, LEASE_PATH,
@@ -244,7 +241,7 @@ def test_heartbeat_failures_counted_and_announced_once_per_lease(
     envelope = loop._execute_with_heartbeats("u1", {}, heartbeat_s=0.02)
     assert envelope == {"ok": True}
     # Every miss is counted; the announcement fires once per lease.
-    assert loop.heartbeat_errors >= 2
+    assert loop.degrade_counts["io"] >= 2
     assert len([m for m in messages if "heartbeat" in m]) == 1
 
     envelope = loop._execute_with_heartbeats("u2", {}, heartbeat_s=0.02)

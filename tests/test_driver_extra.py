@@ -66,3 +66,40 @@ def test_deterministic_given_seed():
     assert a.detected == b.detected
     assert a.untestable == b.untestable
     assert a.aborted == b.aborted
+
+
+def test_aborted_fault_credited_when_a_later_test_detects_it(monkeypatch):
+    """An aborted fault stays live in the dropper: a test generated for
+    a later fault that detects it counts it as detected."""
+    import repro.atpg.driver as driver
+    from repro.atpg.driver import prepare_fault_list
+    from repro.atpg.engine import TestResult
+
+    real = driver.make_atpg
+
+    def first_search_aborts(*args, **kwargs):
+        engine = real(*args, **kwargs)
+        generate = engine.generate
+        calls = []
+
+        def forced(fault):
+            calls.append(fault)
+            if len(calls) == 1:
+                return TestResult(status="aborted")
+            return generate(fault)
+
+        engine.generate = forced
+        return engine
+
+    c = s27()
+    config = ATPGConfig(mode="none", keep_sequences=True)
+    baseline = run_atpg(c, config=config)
+    monkeypatch.setattr(driver, "make_atpg", first_search_aborts)
+    stats = run_atpg(c, config=config)
+    faults, _classes = prepare_fault_list(c)
+    detected = set()
+    for sequence in stats.sequences:
+        detected |= fault_simulate(c, sequence, faults)
+    assert 0 in detected  # a later test catches the aborted fault ...
+    assert stats.detected == len(detected)  # ... and it is credited
+    assert stats.aborted == baseline.aborted

@@ -71,6 +71,26 @@ def test_collapse_and_gate():
     assert len(collapsed) == 4
 
 
+def test_primary_output_feeding_one_gate_keeps_its_own_class():
+    """A PO is observed directly, so its faults are not equivalent to
+    the faults of the one gate it feeds."""
+    b = CircuitBuilder()
+    b.inputs("a", "b", "c")
+    b.gate("p", "and", "a", "b")
+    b.gate("q", "or", "p", "c")
+    b.output("p", "q")
+    c = b.build()
+    _collapsed, classes = collapse_with_classes(c)
+    p, q = c.nid("p"), c.nid("q")
+    for value in (ZERO, ONE):
+        members = next(m for m in classes.values()
+                       if Fault(p, None, value) in m)
+        assert Fault(q, None, value) not in members
+    # The fanout-free AND inputs still collapse into p's class.
+    assert Fault(c.nid("a"), None, ZERO) in next(
+        m for m in classes.values() if Fault(p, None, ZERO) in m)
+
+
 def test_collapse_representative_prefers_output_faults():
     c = figure1()
     collapsed = collapse_faults(c)

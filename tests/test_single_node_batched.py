@@ -1,8 +1,9 @@
 """Batched compiled injections vs per-stem event simulation.
 
-``run_single_node`` packs the 0/1 injections of many stems into
-compiled two-plane runs (one bit column per injection) whenever the
-simulator carries no coupled knowledge.  The contract is identical
+``run_single_node`` (``backend='compiled'``) packs the 0/1 injections
+of many stems into compiled two-plane runs (one bit column per
+injection) whenever the simulator carries no coupled knowledge;
+``backend='reference'`` runs the event simulator per injection.  The contract is identical
 :class:`~repro.core.single_node.SingleNodeData` -- same runs (frames,
 key order, stop flags), same justification map -- including the
 clock-domain-restricted passes of multi-domain circuits and the
@@ -12,6 +13,7 @@ constants.
 
 import pytest
 
+import repro.core.single_node as single_node
 from repro.circuit import (
     CircuitBuilder,
     figure1,
@@ -73,21 +75,27 @@ def _assert_same_data(batched, reference):
     assert list(batched.justifications) == list(reference.justifications)
 
 
+def _fast_and_slow(simulator_for, max_frames):
+    """The same run on the compiled and on the reference path."""
+    fast = run_single_node(simulator_for(), max_frames=max_frames)
+    slow = run_single_node(simulator_for(), max_frames=max_frames,
+                           backend="reference")
+    return fast, slow
+
+
 @pytest.mark.parametrize("kind,seed", CASES)
-def test_batched_single_node_identical(kind, seed):
+def test_batched_single_node_identical(monkeypatch, kind, seed):
     """Every clock-domain pass produces identical SingleNodeData, also
     at an odd batch width that splits the injection pairs across many
     partial batches."""
+    if seed % 2:
+        monkeypatch.setattr(single_node, "DEFAULT_COMPILED_BATCH", 7)
     circuit = _build(kind, seed)
     passes = learning_passes(circuit) or [(("comb", 0, "none"), set())]
     for _key, active in passes:
-        fast = run_single_node(
-            FrameSimulator(circuit, active_ffs=active or None),
-            max_frames=20, batched=True,
-            batch_width=(None, 7)[seed % 2])
-        slow = run_single_node(
-            FrameSimulator(circuit, active_ffs=active or None),
-            max_frames=20, batched=False)
+        fast, slow = _fast_and_slow(
+            lambda: FrameSimulator(circuit, active_ffs=active or None),
+            max_frames=20)
         _assert_same_data(fast, slow)
 
 
@@ -120,10 +128,8 @@ def _tie_fed_stem_circuit():
 def test_conflicting_stem_falls_back_to_reference():
     circuit = _tie_fed_stem_circuit()
     stem = circuit.nid("stem")
-    fast = run_single_node(FrameSimulator(circuit), max_frames=10,
-                           batched=True)
-    slow = run_single_node(FrameSimulator(circuit), max_frames=10,
-                           batched=False)
+    fast, slow = _fast_and_slow(lambda: FrameSimulator(circuit),
+                                max_frames=10)
     _assert_same_data(fast, slow)
     # The stem is tied to 1, so the s-a-0 injection must conflict --
     # proving the tie -- on both paths.
@@ -142,15 +148,14 @@ def test_coupled_simulator_uses_reference_path():
     coupling = coupling_from(learned.ties, learned.equivalences)
     if not (coupling.ties or coupling.equiv):
         pytest.skip("figure1 learned no coupled knowledge")
-    coupled = FrameSimulator(circuit, coupling)
-    fast = run_single_node(coupled, max_frames=10, batched=True)
-    slow = run_single_node(
-        FrameSimulator(circuit, coupling), max_frames=10, batched=False)
+    fast, slow = _fast_and_slow(lambda: FrameSimulator(circuit, coupling),
+                                max_frames=10)
     _assert_same_data(fast, slow)
 
 
 def test_learn_results_independent_of_batching(monkeypatch):
-    """End-to-end learning is identical with packing forced off."""
+    """End-to-end learning is identical with single-node learning on
+    the reference path."""
     import repro.core.engine as core_engine
     from repro.core.single_node import run_single_node as real
 
@@ -159,7 +164,7 @@ def test_learn_results_independent_of_batching(monkeypatch):
     learned_fast = learn(circuit)
 
     def forced_off(simulator, stems=None, max_frames=50, **kwargs):
-        return real(simulator, stems, max_frames, batched=False)
+        return real(simulator, stems, max_frames, backend="reference")
 
     monkeypatch.setattr(core_engine, "run_single_node", forced_off)
     learned_slow = learn(circuit)
