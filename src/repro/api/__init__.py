@@ -6,7 +6,7 @@ One stable surface for every client.  Build a typed request, hand it to
     from repro.api import ATPGRequest, execute
 
     response = execute(ATPGRequest(spec="s27", modes=("known",)))
-    assert response.ok and response.envelope()["schema_version"] == 8
+    assert response.ok and response.envelope()["schema_version"] == 9
     print(response.result["atpg"]["known"])
 
 The CLI is a thin argv adapter over this module; ``repro serve``
@@ -56,7 +56,6 @@ from .events import (
 )
 from .executor import Response, execute
 from .requests import (
-    PRIORITY_CLASSES,
     REQUEST_KINDS,
     SCHEMA_VERSION,
     ATPGRequest,
@@ -75,7 +74,7 @@ from .store import ArtifactStore, learn_digest
 
 __all__ = [
     # versioning
-    "SCHEMA_VERSION", "PRIORITY_CLASSES",
+    "SCHEMA_VERSION",
     # requests
     "Request", "LearnRequest", "UntestableRequest", "ATPGRequest",
     "FaultSimRequest", "SuiteRequest", "CompareRequest",

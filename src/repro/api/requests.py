@@ -43,7 +43,7 @@ from ..flow.config import (
 from .errors import RequestError
 
 __all__ = [
-    "SCHEMA_VERSION", "PRIORITY_CLASSES", "Request", "LearnRequest",
+    "SCHEMA_VERSION", "Request", "LearnRequest",
     "UntestableRequest", "ATPGRequest", "FaultSimRequest",
     "SuiteRequest", "CompareRequest", "StatsRequest",
     "AnalyzeRequest", "ListRequest", "REQUEST_KINDS",
@@ -72,11 +72,13 @@ __all__ = [
 #: Version 8 removed the ``shard`` kind: the dist tier now leases
 #: one-spec ``suite`` requests, so a ``shard`` document is a ``parse``
 #: error.
-SCHEMA_VERSION = 8
-
-#: Admission classes the serve tier schedules between; earlier names
-#: win ties (``interactive`` outranks ``batch``).
-PRIORITY_CLASSES = ("interactive", "batch")
+#: Version 9 removed ``config.atpg.sim_backend``,
+#: ``config.atpg.atpg_engine`` and the ``priority`` request field (a
+#: document naming one is a ``config`` or ``parse`` error; every config
+#: digest changed with the canonical form), and added the ``vectors``
+#: result section, ``{mode: [sequence, ...]}``, to reports whose
+#: config keeps the test sequences.
+SCHEMA_VERSION = 9
 
 
 @dataclass
@@ -120,11 +122,6 @@ class Request:
                 f"{type(self).__name__}.config must be an object")
         if config is not None:
             config.validate()
-        priority = getattr(self, "priority", "interactive")
-        if priority not in PRIORITY_CLASSES:
-            raise RequestError(
-                f"priority must be one of {PRIORITY_CLASSES}, "
-                f"got {priority!r}")
         deadline = getattr(self, "deadline_s", None)
         if deadline is not None:
             if (isinstance(deadline, bool)
@@ -162,13 +159,13 @@ class Request:
 
     #: Request fields that never change computed results: the circuit
     #: spec (subsumed by the fingerprint), output destinations,
-    #: presentation toggles, and the serve-tier scheduling fields
-    #: (which steer *when* work runs, never *what* it computes).
+    #: presentation toggles, and the serve-tier fields (which steer
+    #: *when* work stops, never *what* it computes).
     #: Everything else -- modes, limits, artifact inputs, the config
     #: -- is part of the digest.
     _NON_RESULT_FIELDS: ClassVar[Tuple[str, ...]] = (
         "spec", "specs", "save", "out", "canonical", "details",
-        "priority", "deadline_s", "request_id")
+        "deadline_s", "request_id")
 
     def config_digest(self, circuit: Circuit) -> str:
         """Stable SHA-256 of (request kind, circuit, every
@@ -249,8 +246,7 @@ class LearnRequest(Request):
     details: bool = False
     #: Zero volatile wall-clock fields for byte-identical responses.
     canonical: bool = False
-    # Serve-tier fields (schema v5): admission class, deadline, id.
-    priority: str = "interactive"
+    # Serve-tier fields (schema v5): deadline, id.
     deadline_s: Optional[float] = None
     request_id: Optional[str] = None
 
@@ -270,8 +266,7 @@ class UntestableRequest(Request):
     spec: str = ""
     config: ReproConfig = field(default_factory=ReproConfig)
     canonical: bool = False
-    # Serve-tier fields (schema v5): admission class, deadline, id.
-    priority: str = "interactive"
+    # Serve-tier fields (schema v5): deadline, id.
     deadline_s: Optional[float] = None
     request_id: Optional[str] = None
 
@@ -290,8 +285,7 @@ class ATPGRequest(Request):
     #: validated against the circuit, even for the 'none' baseline).
     learned: Optional[str] = None
     canonical: bool = False
-    # Serve-tier fields (schema v5): admission class, deadline, id.
-    priority: str = "interactive"
+    # Serve-tier fields (schema v5): deadline, id.
     deadline_s: Optional[float] = None
     request_id: Optional[str] = None
 
@@ -313,8 +307,7 @@ class FaultSimRequest(Request):
     #: Modes whose test sets to grade; empty means the config's mode.
     modes: Tuple[str, ...] = ()
     canonical: bool = False
-    # Serve-tier fields (schema v5): admission class, deadline, id.
-    priority: str = "interactive"
+    # Serve-tier fields (schema v5): deadline, id.
     deadline_s: Optional[float] = None
     request_id: Optional[str] = None
 
@@ -338,8 +331,7 @@ class SuiteRequest(Request):
     #: Also write the suite report JSON to this path (atomic).
     out: Optional[str] = None
     canonical: bool = False
-    # Serve-tier fields (schema v5): admission class, deadline, id.
-    priority: str = "interactive"
+    # Serve-tier fields (schema v5): deadline, id.
     deadline_s: Optional[float] = None
     request_id: Optional[str] = None
 
@@ -362,8 +354,7 @@ class CompareRequest(Request):
     config: ReproConfig = field(default_factory=ReproConfig)
     backtrack_limits: Tuple[int, ...] = (30, 1000)
     canonical: bool = False
-    # Serve-tier fields (schema v5): admission class, deadline, id.
-    priority: str = "interactive"
+    # Serve-tier fields (schema v5): deadline, id.
     deadline_s: Optional[float] = None
     request_id: Optional[str] = None
 
@@ -387,8 +378,7 @@ class StatsRequest(Request):
 
     spec: str = ""
     config: ReproConfig = field(default_factory=ReproConfig)
-    # Serve-tier fields (schema v5): admission class, deadline, id.
-    priority: str = "interactive"
+    # Serve-tier fields (schema v5): deadline, id.
     deadline_s: Optional[float] = None
     request_id: Optional[str] = None
 
@@ -402,8 +392,7 @@ class AnalyzeRequest(Request):
     spec: str = ""
     config: ReproConfig = field(default_factory=ReproConfig)
     max_ffs: int = 16
-    # Serve-tier fields (schema v5): admission class, deadline, id.
-    priority: str = "interactive"
+    # Serve-tier fields (schema v5): deadline, id.
     deadline_s: Optional[float] = None
     request_id: Optional[str] = None
 
@@ -420,8 +409,7 @@ class ListRequest(Request):
 
     KIND: ClassVar[str] = "list"
 
-    # Serve-tier fields (schema v5): admission class, deadline, id.
-    priority: str = "interactive"
+    # Serve-tier fields (schema v5): deadline, id.
     deadline_s: Optional[float] = None
     request_id: Optional[str] = None
 

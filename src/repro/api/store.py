@@ -75,10 +75,8 @@ class ArtifactStore:
     #: a leak).
     FLIGHT_LOCK_CAP = 1024
 
-    def __init__(self, root: Optional[str] = None,
-                 keep_in_memory: bool = True):
+    def __init__(self, root: Optional[str] = None):
         self.root = os.fspath(root) if root is not None else None
-        self.keep_in_memory = keep_in_memory
         self._memory: "OrderedDict[str, LearnResult]" = OrderedDict()
         self._lock = threading.Lock()
         self._flight_locks: Dict[str, threading.Lock] = {}
@@ -158,11 +156,7 @@ class ArtifactStore:
             else:
                 with self._lock:
                     self.disk_hits += 1
-                    if self.keep_in_memory:
-                        self._memory[digest] = result
-                        self._memory.move_to_end(digest)
-                        while len(self._memory) > self.MEMORY_CAP:
-                            self._memory.popitem(last=False)
+                    self._remember_locked(digest, result)
                 return result
         with self._lock:
             self.misses += 1
@@ -172,15 +166,18 @@ class ArtifactStore:
         """Store a learn result under its digest (atomic on disk)."""
         with self._lock:
             self.puts += 1
-            if self.keep_in_memory:
-                self._memory[digest] = result
-                self._memory.move_to_end(digest)
-                while len(self._memory) > self.MEMORY_CAP:
-                    self._memory.popitem(last=False)
+            self._remember_locked(digest, result)
         path = self.learn_path(digest)
         if path is not None:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             save_learn_result(result, path, digest=digest)
+
+    def _remember_locked(self, digest: str, result: LearnResult) -> None:
+        # Effectively locked: called only under self._lock.
+        self._memory[digest] = result
+        self._memory.move_to_end(digest)
+        while len(self._memory) > self.MEMORY_CAP:
+            self._memory.popitem(last=False)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

@@ -148,9 +148,11 @@ def run_atpg(circuit: Circuit, *,
     learning modes and is also used (in every mode it is present) to
     pre-mark tie-gate untestable faults -- pass ``learned=None`` with
     ``mode='none'`` for the paper's true no-learning baseline.
-    ``faults`` replaces the collapsed fault list.  Counts, sequences and
-    statistics are identical for every ``sim_backend`` and
-    ``atpg_engine``.
+    ``faults`` replaces the collapsed fault list.  The engine and the
+    dropper come from the module globals ``make_atpg`` and
+    ``make_resident_dropper``, so a test can swap in the reference
+    PODEM and the reference simulator; counts, sequences and
+    statistics are identical either way.
 
     ``progress`` (never part of ``config``: it is UI, not data) is
     called as ``progress(targeted, total)`` after each fault the main
@@ -180,7 +182,7 @@ def run_atpg(circuit: Circuit, *,
                       backtrack_limit=config.backtrack_limit,
                       total_faults=len(faults))
     relations = learned.relations if learned is not None else None
-    atpg = make_atpg(circuit, engine=config.atpg_engine,
+    atpg = make_atpg(circuit,
                      relations=relations if mode != "none" else None,
                      mode=mode, backtrack_limit=config.backtrack_limit,
                      max_frames=config.max_frames)
@@ -196,8 +198,7 @@ def run_atpg(circuit: Circuit, *,
     # One dropper serves the whole loop, retiring each fault once it
     # is decided (detected, proved untestable, or dropped); an aborted
     # fault stays live so a later test can still detect it.
-    dropper = make_resident_dropper(circuit, faults, remaining,
-                                    backend=config.sim_backend)
+    dropper = make_resident_dropper(circuit, faults, remaining)
     targeted = 0
     for index in list(remaining):
         if cancel is not None:

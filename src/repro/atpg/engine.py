@@ -51,10 +51,11 @@ from .scoap import Testability, compute_testability
 
 MODES = ("none", "known", "forbidden")
 
-#: Selectable PODEM engines (``ATPGConfig.atpg_engine``, CLI
-#: ``--atpg-engine``).  ``incremental`` is the event-driven engine
+#: The PODEM engines behind :func:`make_atpg`'s ``engine``.
+#: ``incremental`` is the event-driven engine every run uses
 #: (:mod:`repro.atpg.incremental`); ``reference`` is the original
-#: re-simulate-everything loop, kept as the differential oracle.
+#: re-simulate-everything loop, kept as the differential oracle that
+#: tests reach through ``make_atpg(engine="reference")``.
 ATPG_ENGINES = ("reference", "incremental")
 
 

@@ -278,8 +278,9 @@ class IncrementalATPG(SequentialATPG):
 
     Same constructor, same :meth:`generate` contract and bit-identical
     results as :class:`SequentialATPG`; see the module docstring for
-    what moves incrementally.  The reference engine remains available
-    as the differential oracle (``atpg_engine='reference'``).
+    what moves incrementally.  Every run uses this engine; the
+    reference engine remains the differential oracle, reached through
+    ``make_atpg(engine="reference")``.
     """
 
     def __init__(self, circuit: Circuit, *,

@@ -54,13 +54,7 @@ from .api import (
     execute,
 )
 from .core import LearnConfig
-from .flow import (
-    ATPG_ENGINES,
-    ATPG_MODES,
-    SIM_BACKENDS,
-    ATPGConfig,
-    ReproConfig,
-)
+from .flow import ATPG_MODES, ATPGConfig, ReproConfig
 
 
 # ----------------------------------------------------------------------
@@ -85,9 +79,7 @@ def _config(args) -> ReproConfig:
         atpg=ATPGConfig(**_given(
             backtrack_limit=flag("backtrack_limit"),
             max_frames=flag("window"),
-            max_faults=flag("max_faults"),
-            sim_backend=flag("backend"),
-            atpg_engine=flag("atpg_engine"))),
+            max_faults=flag("max_faults"))),
         **_given(retime=flag("retime"), jobs=flag("jobs")))
 
 
@@ -282,12 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "response is byte-identical across runs "
                             "(and to a repro serve answer)")
 
-    def add_backend(p):
-        p.add_argument("--backend", choices=SIM_BACKENDS,
-                       help="simulation backend (compiled straight-line "
-                            "kernels or the reference interpreters; "
-                            "identical results)")
-
     p = sub.add_parser("list", help="list built-in circuits")
     add_json(p)
 
@@ -296,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="run sequential learning")
     add_circuit(p)
-    add_backend(p)
     p.add_argument("--max-frames", type=int,
                    help="learning simulation depth")
     p.add_argument("--no-multi", action="store_true",
@@ -311,11 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_canonical(p)
 
     def add_atpg_knobs(p):
-        add_backend(p)
-        p.add_argument("--atpg-engine", choices=ATPG_ENGINES,
-                       help="PODEM engine (incremental event-driven "
-                            "search or the reference re-simulating "
-                            "loop; identical results)")
         p.add_argument("--backtrack-limit", type=int)
         p.add_argument("--window", type=int,
                        help="maximum time-frame window")
@@ -344,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Table-5 protocol: every mode at every "
                             "backtrack limit")
     add_circuit(p)
-    add_backend(p)
-    p.add_argument("--atpg-engine", choices=ATPG_ENGINES)
     p.add_argument("--backtrack-limits", type=int, nargs="+",
                    metavar="N",
                    help="backtrack limits to sweep (paper: 30 and 1000)")
@@ -377,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("untestable", help="tie gates vs FIRES")
     add_circuit(p)
-    add_backend(p)
     add_canonical(p)
 
     p = sub.add_parser("analyze", help="density of encoding")
@@ -398,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "network clients would get file access as the "
                         "daemon user")
     p.add_argument("--queue-depth", type=int, default=16, metavar="N",
-                   help="waiting requests accepted per priority class "
-                        "before answering 429 + Retry-After "
+                   help="waiting requests accepted before answering "
+                        "429 + Retry-After "
                         "(default: 16)")
     p.add_argument("--max-active", type=int, default=None, metavar="N",
                    help="concurrent execution slots (default: from "
@@ -409,12 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="server-wide ceiling on request deadlines in "
                         "seconds; also applied to requests naming no "
                         "deadline (default: none)")
-    p.add_argument("--stream", action="store_true", default=True,
-                   dest="stream",
-                   help="enable POST /v1/stream and NDJSON/SSE "
-                        "responses (default)")
-    p.add_argument("--no-stream", action="store_false", dest="stream",
-                   help="disable the streaming endpoints")
 
     p = sub.add_parser("coordinator",
                        help="serve one suite to workers, one whole "
@@ -545,8 +516,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                   allow_file_requests=args.allow_file_requests,
                   queue_depth=args.queue_depth,
                   max_active=args.max_active,
-                  deadline_cap=args.deadline_cap,
-                  allow_streaming=args.stream)
+                  deadline_cap=args.deadline_cap)
         except OSError as exc:  # e.g. port already in use
             raise SystemExit(f"repro: error: {exc}") from exc
         return 0

@@ -22,9 +22,7 @@ New code should prefer :func:`repro.api.execute` with a typed request.
 """
 
 from .config import (
-    ATPG_ENGINES,
     ATPG_MODES,
-    SIM_BACKENDS,
     ATPGConfig,
     ConfigError,
     ReproConfig,
@@ -59,8 +57,8 @@ from .parallel_suite import (
 )
 
 __all__ = [
-    "ATPG_ENGINES", "ATPG_MODES", "SIM_BACKENDS", "ATPGConfig",
-    "ConfigError", "ReproConfig", "canonical_json", "normalize_jobs",
+    "ATPG_MODES", "ATPGConfig", "ConfigError", "ReproConfig",
+    "canonical_json", "normalize_jobs",
     "ArtifactError", "StaleArtifactError",
     "circuit_fingerprint",
     "learn_result_from_dict", "learn_result_to_dict",

@@ -28,16 +28,13 @@ from typing import (
     get_type_hints,
 )
 
-from ..atpg.engine import ATPG_ENGINES
 from ..core.engine import LearnConfig
-from ..sim.compiled import SIM_BACKENDS
 
 #: Legal values for :attr:`ATPGConfig.mode`.
 ATPG_MODES = ("none", "forbidden", "known")
 
-__all__ = ["ATPG_MODES", "ATPG_ENGINES", "SIM_BACKENDS", "ATPGConfig",
-           "ConfigError", "ReproConfig", "canonical_json",
-           "normalize_jobs"]
+__all__ = ["ATPG_MODES", "ATPGConfig", "ConfigError", "ReproConfig",
+           "canonical_json", "normalize_jobs"]
 
 
 class ConfigError(ValueError):
@@ -135,17 +132,6 @@ class ATPGConfig:
     #: Off by default so batch/suite runs over large circuits don't hold
     #: every vector in memory; ``sequences_total`` is counted either way.
     keep_sequences: bool = False
-    #: Simulation backend for fault simulation and learning signatures:
-    #: 'compiled' (straight-line kernels, the default) or 'reference'
-    #: (the original interpreters).  Results are bit-identical; the
-    #: reference backend exists for differential testing and debugging.
-    sim_backend: str = "compiled"
-    #: PODEM engine behind test generation: 'incremental' (event-driven
-    #: window updates with trail-based backtracking, the default) or
-    #: 'reference' (full window re-simulation per decision).  Results
-    #: are bit-identical; the reference engine is the oracle of the
-    #: differential harness.
-    atpg_engine: str = "incremental"
 
     def validate(self) -> "ATPGConfig":
         """Raise :class:`ConfigError` on mistyped or out-of-range values."""
@@ -153,14 +139,6 @@ class ATPGConfig:
         if self.mode not in ATPG_MODES:
             raise ConfigError(
                 f"mode must be one of {ATPG_MODES}, got {self.mode!r}")
-        if self.sim_backend not in SIM_BACKENDS:
-            raise ConfigError(
-                f"sim_backend must be one of {SIM_BACKENDS}, "
-                f"got {self.sim_backend!r}")
-        if self.atpg_engine not in ATPG_ENGINES:
-            raise ConfigError(
-                f"atpg_engine must be one of {ATPG_ENGINES}, "
-                f"got {self.atpg_engine!r}")
         if self.backtrack_limit < 1:
             raise ConfigError("backtrack_limit must be >= 1")
         if self.max_frames < 1:

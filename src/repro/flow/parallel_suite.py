@@ -124,11 +124,10 @@ def run_task(task: SuiteTask,
     try:
         session = PipelineSession(task.spec, config=task.config,
                                   progress=tracker)
-        if task.config.atpg.sim_backend == "compiled":
-            # Compile kernels before the pipeline hot loops rather than
-            # inside the first stage that needs them (a pool worker's
-            # cache may start empty).
-            warm_cache(session.circuit)
+        # Compile kernels before the pipeline hot loops rather than
+        # inside the first stage that needs them (a pool worker's cache
+        # may start empty).
+        warm_cache(session.circuit)
         session.compare(list(task.modes))
         return SuiteTaskResult(index=task.index, report=session.report())
     except Exception as exc:

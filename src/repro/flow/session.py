@@ -43,7 +43,7 @@ from ..circuit import (
 )
 from ..circuit.netlist import Circuit, CircuitError
 from ..core.engine import LearnResult, learn
-from ..sim.compiled import make_fault_simulator
+from ..sim.resident import make_resident_dropper
 from .config import ATPG_MODES, ConfigError, ReproConfig, normalize_jobs
 from .serialize import (
     load_learn_result,
@@ -243,18 +243,11 @@ class PipelineSession:
     # learn
     # ------------------------------------------------------------------
     def learn(self) -> LearnResult:
-        """Stage ``learn`` (cached; skipped when an artifact is loaded).
-
-        The simulation backend behind equivalence signatures follows
-        ``config.atpg.sim_backend``; learned knowledge is identical for
-        either backend.
-        """
+        """Stage ``learn`` (cached; skipped when an artifact is loaded)."""
         if self._learned is None:
             circuit = self.circuit
             self._learned = self._stage(
-                "learn",
-                lambda: learn(circuit, self.config.learn,
-                              sim_backend=self.config.atpg.sim_backend),
+                "learn", lambda: learn(circuit, self.config.learn),
                 lambda r: dict(r.summary()))
         return self._learned
 
@@ -339,10 +332,7 @@ class PipelineSession:
 
         ``mode='none'`` is the paper's true no-learning baseline: the
         learned result is withheld entirely, including the tie-gate
-        untestability screen.  The PODEM engine follows
-        ``config.atpg.atpg_engine`` ('incremental' by default,
-        'reference' as the oracle); statistics are bit-identical for
-        either engine.
+        untestability screen.
         """
         mode = mode or self.config.atpg.mode
         if mode not in ATPG_MODES:
@@ -398,16 +388,10 @@ class PipelineSession:
 
         def grade() -> Dict[str, object]:
             faults = collapse_faults(circuit)
-            simulator = make_fault_simulator(
-                circuit, backend=self.config.atpg.sim_backend)
-            undetected = list(faults)
-            for sequence in stats.sequences:
-                if not undetected:
-                    break
-                hits = simulator.detected(sequence, undetected)
-                undetected = [f for i, f in enumerate(undetected)
-                              if i not in hits]
-            detected = len(faults) - len(undetected)
+            dropper = make_resident_dropper(circuit, faults,
+                                            range(len(faults)))
+            detected = sum(len(dropper.drop(sequence))
+                           for sequence in stats.sequences)
             return {
                 "circuit": circuit.name,
                 "mode": mode,
@@ -440,6 +424,9 @@ class PipelineSession:
         if self._atpg:
             out["atpg"] = {mode: dict(stats.row())
                            for mode, stats in self._atpg.items()}
+            if self.config.atpg.keep_sequences:
+                out["vectors"] = {mode: stats.sequences
+                                  for mode, stats in self._atpg.items()}
         if self._fault_sim:
             out["fault_sim"] = {mode: dict(res)
                                 for mode, res in self._fault_sim.items()}

@@ -2,7 +2,7 @@
 
 Wraps the one :func:`repro.api.execute` entrypoint in a daemon built
 for sustained traffic: streamed event protocol
-(:mod:`~repro.serve.streaming`), bounded two-class admission control
+(:mod:`~repro.serve.streaming`), bounded FIFO admission control
 (:mod:`~repro.serve.admission`), cooperative cancellation
 (:mod:`~repro.serve.cancel`) and a scrapeable metrics registry
 (:mod:`~repro.serve.metrics`).  :mod:`repro.api` loads its lazy

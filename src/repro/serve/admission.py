@@ -1,22 +1,16 @@
-"""Bounded, two-class weighted admission control for the daemon.
+"""Bounded FIFO admission control for the daemon.
 
 Every request must acquire one of ``max_active`` execution slots before
 :func:`repro.api.execute` runs.  When all slots are busy the request
-waits in its priority class's bounded FIFO queue; when that queue is
-full the request is rejected immediately with
-:class:`~repro.api.errors.OverloadFailure` (HTTP 429 + ``Retry-After``)
--- explicit backpressure beats an unbounded backlog every time.
-
-Scheduling between the two classes is weighted, not absolute:
-``interactive`` requests win up to :data:`INTERACTIVE_BURST` grants in
-a row while ``batch`` work is waiting, then one ``batch`` request is
-granted.  Interactive latency stays bounded under a saturated batch
-queue, and batch can never be starved outright.
+waits in one bounded FIFO queue; when that queue is full the request is
+rejected immediately with :class:`~repro.api.errors.OverloadFailure`
+(HTTP 429 + ``Retry-After``) -- explicit backpressure beats an
+unbounded backlog every time.
 
 Waiters poll their grant event with a short timeout so a queued
-request's :class:`~repro.serve.cancel.CancelToken` still fires (a
-client that gives up while queued should not occupy a slot later);
-abandoned waiters are skipped lazily at grant time.
+request's :class:`~repro.serve.cancel.CancelToken` still fires: a
+client that gives up while queued leaves the queue at once, so it never
+occupies a slot or a queue place later.
 """
 
 from __future__ import annotations
@@ -28,33 +22,28 @@ from typing import Dict, Iterator, Optional
 
 from ..api.errors import OverloadFailure
 
-__all__ = ["AdmissionController", "INTERACTIVE_BURST"]
-
-#: Consecutive interactive grants allowed while batch work waits.
-INTERACTIVE_BURST = 4
+__all__ = ["AdmissionController"]
 
 #: Seconds between cancellation polls while queued.
 _WAIT_POLL_S = 0.05
 
 
 class _Waiter:
-    """One queued request: its grant event + cancellation state.
+    """One queued request: its grant event + grant state.
 
     Mutated only under the owning controller's lock; the Event is the
     sole cross-thread signal.
     """
 
-    __slots__ = ("event", "priority", "abandoned", "granted")
+    __slots__ = ("event", "granted")
 
-    def __init__(self, priority: str):
+    def __init__(self):
         self.event = threading.Event()
-        self.priority = priority
-        self.abandoned = False
         self.granted = False
 
 
 class AdmissionController:
-    """``max_active`` slots + two bounded priority queues."""
+    """``max_active`` slots + one bounded FIFO queue."""
 
     def __init__(self, max_active: int = 4, queue_depth: int = 16):
         if max_active < 1:
@@ -66,35 +55,28 @@ class AdmissionController:
         self.queue_depth = queue_depth
         self._lock = threading.Lock()
         self._active = 0
-        self._waiting: Dict[str, "deque[_Waiter]"] = {
-            "interactive": deque(), "batch": deque()}
-        self._since_batch = 0
+        self._waiting: "deque[_Waiter]" = deque()
 
     # ------------------------------------------------------------------
-    def acquire(self, priority: str = "interactive",
-                cancel: Optional[object] = None) -> None:
-        """Take one slot, waiting in the class queue if necessary.
+    def acquire(self, cancel: Optional[object] = None) -> None:
+        """Take one slot, waiting in the queue if necessary.
 
-        Raises :class:`OverloadFailure` when the class queue is full,
-        or whatever ``cancel.check()`` raises if the request is
-        cancelled (deadline, disconnect, explicit) while queued.
+        Raises :class:`OverloadFailure` when the queue is full, or
+        whatever ``cancel.check()`` raises if the request is cancelled
+        (deadline, disconnect, explicit) while queued.
         """
-        queue = self._queue_for(priority)
         with self._lock:
-            if self._active < self.max_active and not self._any_waiting():
+            if self._active < self.max_active and not self._waiting:
                 self._active += 1
                 return
-            if len(queue) >= self.queue_depth:
+            if len(self._waiting) >= self.queue_depth:
                 raise OverloadFailure(
                     f"server is at capacity ({self.max_active} active, "
-                    f"{len(queue)} queued {priority}); try again later",
+                    f"{len(self._waiting)} queued); try again later",
                     stage="admission",
                     retry_after_s=self._retry_after_locked())
-            waiter = _Waiter(priority)
-            queue.append(waiter)
-            # Abandoned heads may be masking free slots; sweep now so a
-            # fresh waiter can never deadlock behind ghosts.
-            self._grant_next_locked()
+            waiter = _Waiter()
+            self._waiting.append(waiter)
         while True:
             if waiter.event.wait(_WAIT_POLL_S):
                 return
@@ -104,12 +86,13 @@ class AdmissionController:
                 cancel.check()
             except BaseException:
                 with self._lock:
-                    waiter.abandoned = True
                     if waiter.granted:
                         # Grant raced the cancellation: hand the slot
                         # straight to the next waiter.
                         self._active -= 1
                         self._grant_next_locked()
+                    else:
+                        self._waiting.remove(waiter)
                 raise
 
     def release(self) -> None:
@@ -119,10 +102,9 @@ class AdmissionController:
             self._grant_next_locked()
 
     @contextlib.contextmanager
-    def slot(self, priority: str = "interactive",
-             cancel: Optional[object] = None) -> Iterator[None]:
+    def slot(self, cancel: Optional[object] = None) -> Iterator[None]:
         """``with admission.slot(...):`` -- acquire/release pairing."""
-        self.acquire(priority, cancel=cancel)
+        self.acquire(cancel=cancel)
         try:
             yield
         finally:
@@ -130,65 +112,20 @@ class AdmissionController:
 
     # ------------------------------------------------------------------
     def depths(self) -> Dict[str, int]:
-        """Point-in-time occupancy (live waiters only)."""
+        """Point-in-time occupancy."""
         with self._lock:
-            return {
-                "active": self._active,
-                "interactive": sum(
-                    1 for w in self._waiting["interactive"]
-                    if not w.abandoned),
-                "batch": sum(1 for w in self._waiting["batch"]
-                             if not w.abandoned),
-            }
+            return {"active": self._active, "queued": len(self._waiting)}
 
     # ------------------------------------------------------------------
-    def _queue_for(self, priority: str) -> "deque[_Waiter]":
-        with self._lock:
-            queue = self._waiting.get(priority)
-        if queue is None:
-            # Admission must not 500 on a typo'd class; request
-            # validation inside execute() owns rejecting it.
-            with self._lock:
-                queue = self._waiting["interactive"]
-        return queue
-
-    def _any_waiting(self) -> bool:
-        # Effectively locked: called only under self._lock.
-        return any(w for q in self._waiting.values() for w in q
-                   if not w.abandoned)
-
     def _retry_after_locked(self) -> int:
         # Effectively locked: called only under self._lock.
-        waiting = sum(len(q) for q in self._waiting.values())
-        return max(1, (self._active + waiting) // self.max_active)
+        return max(1, (self._active + len(self._waiting))
+                   // self.max_active)
 
     def _grant_next_locked(self) -> None:
         # Effectively locked: called only under self._lock.
-        while self._active < self.max_active:
-            waiter = self._pick_locked()
-            if waiter is None:
-                return
+        while self._active < self.max_active and self._waiting:
+            waiter = self._waiting.popleft()
             waiter.granted = True
             self._active += 1
             waiter.event.set()
-
-    def _pick_locked(self) -> Optional[_Waiter]:
-        # Effectively locked: called only under self._lock.
-        interactive = self._waiting["interactive"]
-        batch = self._waiting["batch"]
-        for queue in (interactive, batch):
-            while queue and queue[0].abandoned:
-                queue.popleft()
-        if interactive and batch:
-            if self._since_batch >= INTERACTIVE_BURST:
-                self._since_batch = 0
-                return batch.popleft()
-            self._since_batch += 1
-            return interactive.popleft()
-        if interactive:
-            self._since_batch += 1
-            return interactive.popleft()
-        if batch:
-            self._since_batch = 0
-            return batch.popleft()
-        return None

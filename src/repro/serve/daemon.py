@@ -4,19 +4,18 @@ On top of the warm-process contract -- shared kernel cache, shared
 :class:`~repro.api.store.ArtifactStore`, byte-identical envelopes --
 the daemon adds three production capabilities:
 
-**Streaming.**  ``POST /v1/stream`` (or ``POST /v1/execute`` with
-``Accept: application/x-ndjson``) emits the typed event protocol live
-while the request executes -- NDJSON lines by default, SSE with
-``Accept: text/event-stream`` -- terminated by the exact byte-identical
-envelope a one-shot run would return (see
-:mod:`repro.serve.streaming`).
+**Streaming.**  ``POST /v1/stream`` emits the typed event protocol live
+as NDJSON lines while the request executes, terminated by the exact
+byte-identical envelope a one-shot run would return (see
+:mod:`repro.serve.streaming`).  ``POST /v1/execute`` always answers
+one-shot.
 
 **Admission control.**  Every request passes the
-:class:`~repro.serve.admission.AdmissionController`: bounded per-class
-queues, ``interactive`` weighted over ``batch``, 429 +
-``Retry-After`` on overflow.  Per-request deadlines (``deadline_s``
-request field, capped by the server's ``deadline_cap``) and client
-disconnects propagate into the engines through a
+:class:`~repro.serve.admission.AdmissionController`: ``max_active``
+slots, one bounded FIFO queue, 429 + ``Retry-After`` on overflow.
+Per-request deadlines (``deadline_s`` request field, capped by the
+server's ``deadline_cap``) and client disconnects propagate into the
+engines through a
 :class:`~repro.serve.cancel.CancelToken`, so abandoned ATPG searches
 stop burning cores mid-fault-loop.  ``POST /v1/cancel`` cancels by
 request id (server-assigned ``r-<n>``, echoed in ``X-Request-Id``, or
@@ -27,7 +26,7 @@ records per-kind latency, queue wait/depth, rejections and
 cancellations; ``GET /v1/metrics`` exports it as JSON (default) or
 Prometheus text (``?format=prometheus`` / ``Accept: text/plain``),
 alongside point-in-time cache-tier stats (kernel cache, artifact
-store).  ``requests_total{kind,class,outcome}`` is the one request
+store).  ``requests_total{kind,outcome}`` is the one request
 ledger: ``/v1/health`` derives its served/failed counts from it.
 """
 
@@ -47,17 +46,13 @@ from ..api.errors import (
 )
 from ..api.executor import execute
 from ..api.framing import MAX_BODY_BYTES, JSONRequestHandler, error_reply
-from ..api.requests import PRIORITY_CLASSES, REQUEST_KINDS, SCHEMA_VERSION
+from ..api.requests import REQUEST_KINDS, SCHEMA_VERSION
 from ..api.store import ArtifactStore
 from ..sim.compiled import compile_cache_stats
 from .admission import AdmissionController
 from .cancel import REASON_CLIENT_DISCONNECT, REASON_EXPLICIT, CancelToken
 from .metrics import DEPTH_BUCKETS, Metrics
-from .streaming import (
-    NDJSON_CONTENT_TYPE,
-    SSE_CONTENT_TYPE,
-    EventStreamWriter,
-)
+from .streaming import NDJSON_CONTENT_TYPE, EventStreamWriter
 
 __all__ = ["ReproServer", "make_server", "serve",
            "MAX_BODY_BYTES", "FILE_PATH_FIELDS"]
@@ -83,12 +78,10 @@ class ReproServer(ThreadingHTTPServer):
                  allow_file_requests: bool = False,
                  queue_depth: int = 16,
                  max_active: Optional[int] = None,
-                 deadline_cap: Optional[float] = None,
-                 allow_streaming: bool = True):
+                 deadline_cap: Optional[float] = None):
         super().__init__(address, _Handler)
         self.store = store if store is not None else ArtifactStore()
         self.allow_file_requests = allow_file_requests
-        self.allow_streaming = allow_streaming
         #: Server-wide ceiling on any request's deadline (seconds);
         #: also the deadline applied to requests that name none.
         self.deadline_cap = deadline_cap
@@ -116,7 +109,6 @@ class ReproServer(ThreadingHTTPServer):
             "schema_version": SCHEMA_VERSION,
             "requests_served": served,
             "requests_failed": served - outcomes.get("ok", 0),
-            "streaming": self.allow_streaming,
             "admission": self.admission.depths(),
             "kernel_cache": compile_cache_stats(),
             "artifact_store": self.store.stats(),
@@ -218,15 +210,9 @@ class _Handler(JSONRequestHandler):
         if self.path == "/v1/cancel":
             self._handle_cancel()
         elif self.path == "/v1/stream":
-            if not self.server.allow_streaming:
-                self._respond_error(RequestError(
-                    "streaming is disabled on this server (restart "
-                    "without --no-stream to enable /v1/stream)",
-                    stage="http"))
-                return
-            self._handle_execute(stream_default=True)
+            self._handle_execute(stream=True)
         elif self.path == "/v1/execute":
-            self._handle_execute(stream_default=False)
+            self._handle_execute(stream=False)
         else:
             self.do_GET()  # reuse the 404 envelope
 
@@ -253,16 +239,6 @@ class _Handler(JSONRequestHandler):
         })
 
     # ------------------------------------------------------------------
-    def _stream_format(self, stream_default: bool) -> Optional[str]:
-        if not self.server.allow_streaming:
-            return None
-        accept = self.headers.get("Accept", "")
-        if SSE_CONTENT_TYPE in accept:
-            return "sse"
-        if NDJSON_CONTENT_TYPE in accept:
-            return "ndjson"
-        return "ndjson" if stream_default else None
-
     def _disconnect_probe(self):
         """Throttled liveness peek: recv on a socket whose peer closed
         returns b'' (EOF) without blocking; a healthy idle peer raises
@@ -288,7 +264,7 @@ class _Handler(JSONRequestHandler):
         return probe
 
     # ------------------------------------------------------------------
-    def _handle_execute(self, stream_default: bool) -> None:
+    def _handle_execute(self, stream: bool) -> None:
         """Run one request, record its outcome, then write the reply.
 
         The outcome lands in ``requests_total`` after the admission
@@ -298,11 +274,10 @@ class _Handler(JSONRequestHandler):
         """
         server = self.server
         started = time.perf_counter()
-        ctx: Dict[str, object] = {"kind": "unknown",
-                                  "class": "interactive", "token": None}
+        ctx: Dict[str, object] = {"kind": "unknown", "token": None}
         outcome, reply = "error", None
         try:
-            outcome, reply = self._execute(stream_default, ctx)
+            outcome, reply = self._execute(stream, ctx)
         finally:
             token = ctx["token"]
             if token is not None and token.reason is not None:
@@ -312,7 +287,6 @@ class _Handler(JSONRequestHandler):
                                    {"reason": token.reason})
             server.metrics.inc("requests_total",
                                {"kind": ctx["kind"],
-                                "class": ctx["class"],
                                 "outcome": outcome})
             server.metrics.observe("request_latency_s",
                                    time.perf_counter() - started,
@@ -321,15 +295,14 @@ class _Handler(JSONRequestHandler):
             status, body, headers = reply
             self._send(status, body, headers=headers)
 
-    def _execute(self, stream_default: bool, ctx: Dict[str, object]
+    def _execute(self, stream: bool, ctx: Dict[str, object]
                  ) -> Tuple[str, Optional[tuple]]:
         """Parse, admit and run one request.
 
         Returns ``(outcome, reply)`` with the admission slot already
         released; ``reply`` is the one-shot ``(status, body, headers)``
         still to be written, or None when a stream was written.  Fills
-        ``ctx`` with the kind, class and cancel token as they become
-        known.
+        ``ctx`` with the kind and cancel token as they become known.
         """
         server = self.server
         try:
@@ -348,12 +321,6 @@ class _Handler(JSONRequestHandler):
                     "with allow_file_requests (repro serve "
                     "--allow-file-requests) to opt in",
                     stage="http"), kind)
-        raw_priority = data.get("priority", "interactive")
-        if raw_priority in PRIORITY_CLASSES:
-            # An invalid class is admitted as interactive and then
-            # rejected properly by request validation.
-            ctx["class"] = raw_priority
-        priority = ctx["class"]
         raw_deadline = data.get("deadline_s")
         deadline = server.effective_deadline(
             raw_deadline if isinstance(raw_deadline, (int, float))
@@ -366,16 +333,14 @@ class _Handler(JSONRequestHandler):
         headers = {"X-Request-Id": request_id}
         server.register_token(request_id, token)
         try:
-            depths = server.admission.depths()
             server.metrics.observe(
-                "queue_depth", depths.get(priority, 0),
-                {"class": priority}, buckets=DEPTH_BUCKETS)
+                "queue_depth", server.admission.depths()["queued"],
+                buckets=DEPTH_BUCKETS)
             queued_at = time.perf_counter()
             try:
-                server.admission.acquire(priority, cancel=token)
+                server.admission.acquire(cancel=token)
             except OverloadFailure as error:
-                server.metrics.inc("rejections_total",
-                                   {"class": priority})
+                server.metrics.inc("rejections_total")
                 return "rejected", error_reply(
                     error, kind,
                     dict(headers, **{"Retry-After":
@@ -385,12 +350,10 @@ class _Handler(JSONRequestHandler):
                 # queued: never held a slot.
                 return "cancelled", error_reply(error, kind, headers)
             server.metrics.observe(
-                "queue_wait_s", time.perf_counter() - queued_at,
-                {"class": priority})
+                "queue_wait_s", time.perf_counter() - queued_at)
             try:
-                fmt = self._stream_format(stream_default)
-                if fmt is not None:
-                    ok = self._run_stream(data, fmt, token, request_id)
+                if stream:
+                    ok = self._run_stream(data, token, request_id)
                     return ("ok" if ok else "error"), None
                 token.set_probe(self._disconnect_probe())
                 response = execute(data, store=server.store,
@@ -406,15 +369,13 @@ class _Handler(JSONRequestHandler):
         finally:
             server.unregister_token(request_id)
 
-    def _run_stream(self, data: dict, fmt: str, token: CancelToken,
+    def _run_stream(self, data: dict, token: CancelToken,
                     request_id: str) -> bool:
         """Stream one request; returns whether it fully succeeded
         (envelope ok *and* delivered to a live client)."""
         server = self.server
-        content_type = (NDJSON_CONTENT_TYPE if fmt == "ndjson"
-                        else SSE_CONTENT_TYPE)
         self.send_response(200)
-        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Type", NDJSON_CONTENT_TYPE)
         self.send_header("Cache-Control", "no-store")
         self.send_header("X-Request-Id", request_id)
         self.send_header("Connection", "close")
@@ -423,8 +384,8 @@ class _Handler(JSONRequestHandler):
         # the envelope's framing carries its own byte count.
         self.connection.settimeout(server.stream_write_timeout)
         token.set_probe(self._disconnect_probe())
-        writer = EventStreamWriter(self.wfile, fmt, token=token)
-        server.metrics.inc("streams_total", {"format": fmt})
+        writer = EventStreamWriter(self.wfile, token=token)
+        server.metrics.inc("streams_total")
         response = execute(data, events=writer, store=server.store,
                            cancel=token.check)
         delivered = writer.finish(response.to_json().encode())
@@ -436,8 +397,7 @@ def make_server(host: str = "127.0.0.1", port: int = 0,
                 allow_file_requests: bool = False,
                 queue_depth: int = 16,
                 max_active: Optional[int] = None,
-                deadline_cap: Optional[float] = None,
-                allow_streaming: bool = True) -> ReproServer:
+                deadline_cap: Optional[float] = None) -> ReproServer:
     """Bind (but do not run) a daemon; ``port=0`` picks a free port.
 
     The caller owns the lifecycle: ``serve_forever()`` on any thread,
@@ -447,8 +407,7 @@ def make_server(host: str = "127.0.0.1", port: int = 0,
     return ReproServer((host, port), store=store,
                        allow_file_requests=allow_file_requests,
                        queue_depth=queue_depth, max_active=max_active,
-                       deadline_cap=deadline_cap,
-                       allow_streaming=allow_streaming)
+                       deadline_cap=deadline_cap)
 
 
 def serve(host: str = "127.0.0.1", port: int = 8451,
@@ -457,15 +416,13 @@ def serve(host: str = "127.0.0.1", port: int = 8451,
           queue_depth: int = 16,
           max_active: Optional[int] = None,
           deadline_cap: Optional[float] = None,
-          allow_streaming: bool = True,
           announce=print) -> None:
     """Run the daemon until interrupted (the ``repro serve`` command)."""
     store = ArtifactStore(root=store_dir)
     server = make_server(host, port, store=store,
                          allow_file_requests=allow_file_requests,
                          queue_depth=queue_depth, max_active=max_active,
-                         deadline_cap=deadline_cap,
-                         allow_streaming=allow_streaming)
+                         deadline_cap=deadline_cap)
     bound_host, bound_port = server.server_address[:2]
     announce(f"repro serve: listening on http://{bound_host}:{bound_port}"
              f" (schema_version {SCHEMA_VERSION}, store: "

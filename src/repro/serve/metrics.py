@@ -6,7 +6,7 @@ to answer "is it healthy and where does the time go":
 
 * **counters** -- monotonically increasing event counts
   (``requests_total``, ``rejections_total``, ``cancellations_total``),
-  labelled so per-kind / per-class / per-reason rates fall out.
+  labelled so per-kind / per-outcome / per-reason rates fall out.
 * **histograms** -- fixed-bucket distributions (request latency, queue
   wait, queue depth).  Buckets are cumulative-at-export, Prometheus
   style: bucket ``le=b`` counts observations ``<= b``, with a final

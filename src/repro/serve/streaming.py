@@ -2,11 +2,10 @@
 
 The daemon streams :mod:`repro.api.events` objects live while
 ``execute`` runs, then terminates the stream with the request's full
-response envelope.  Two formats:
-
-**NDJSON** (``application/x-ndjson``, the default).  Each event is one
-compact JSON line (sorted keys).  The terminal record is *two-part* so
-the canonical-bytes contract survives streaming:
+response envelope.  The one format is NDJSON
+(``application/x-ndjson``): each event is one compact JSON line (sorted
+keys).  The terminal record is *two-part* so the canonical-bytes
+contract survives streaming:
 
 1. a framing line ``{"bytes": N, "event": "result"}``
 2. exactly ``N`` raw bytes -- the response envelope precisely as
@@ -15,12 +14,6 @@ the canonical-bytes contract survives streaming:
 
 A client slices those N bytes out and has the byte-identical envelope;
 CI ``cmp``'s them against a one-shot run.
-
-**SSE** (``text/event-stream``).  Standard ``event:``/``data:`` blocks;
-the terminal block carries the envelope as compact JSON on one data
-line (SSE is line-oriented, so the envelope's multi-line form cannot be
-framed verbatim -- byte identity is an NDJSON-only guarantee, the SSE
-envelope is canonically *equal* but re-serialized).
 
 :class:`EventStreamWriter` is the ``events`` sink handed to
 ``execute``: it serializes events straight onto the client socket.  A
@@ -44,36 +37,26 @@ from .cancel import (
 )
 
 __all__ = ["EventStreamWriter", "encode_event", "encode_terminal",
-           "NDJSON_CONTENT_TYPE", "SSE_CONTENT_TYPE", "FORMATS"]
+           "NDJSON_CONTENT_TYPE"]
 
 NDJSON_CONTENT_TYPE = "application/x-ndjson"
-SSE_CONTENT_TYPE = "text/event-stream"
-FORMATS = ("ndjson", "sse")
 
 
 def _compact(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def encode_event(event: Event, fmt: str) -> bytes:
+def encode_event(event: Event) -> bytes:
     """One non-terminal event in its wire form."""
-    payload = event.to_dict()
-    if fmt == "sse":
-        return (f"event: {event.KIND}\n"
-                f"data: {_compact(payload)}\n\n").encode()
-    return (_compact(payload) + "\n").encode()
+    return (_compact(event.to_dict()) + "\n").encode()
 
 
-def encode_terminal(envelope_bytes: bytes, fmt: str) -> bytes:
+def encode_terminal(envelope_bytes: bytes) -> bytes:
     """The stream terminator carrying the response envelope.
 
     ``envelope_bytes`` must be exactly ``Response.to_json().encode()``;
-    NDJSON embeds them verbatim behind a byte-count framing line.
+    they are embedded verbatim behind a byte-count framing line.
     """
-    if fmt == "sse":
-        envelope = json.loads(envelope_bytes.decode())
-        return (f"event: result\n"
-                f"data: {_compact(envelope)}\n\n").encode()
     frame = _compact({"event": "result",
                       "bytes": len(envelope_bytes)}) + "\n"
     return frame.encode() + envelope_bytes
@@ -88,13 +71,9 @@ class EventStreamWriter:
     response object itself, which is what guarantees byte identity.
     """
 
-    def __init__(self, wfile: IO[bytes], fmt: str = "ndjson",
+    def __init__(self, wfile: IO[bytes],
                  token: Optional[CancelToken] = None):
-        if fmt not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, "
-                             f"got {fmt!r}")
         self.wfile = wfile
-        self.fmt = fmt
         self.token = token
         self.failed = False
         self.events_written = 0
@@ -105,13 +84,13 @@ class EventStreamWriter:
     def __call__(self, event: Event) -> None:
         if isinstance(event, ResultEvent):
             return
-        if self._write(encode_event(event, self.fmt)):
+        if self._write(encode_event(event)):
             self.events_written += 1
 
     def finish(self, envelope_bytes: bytes) -> bool:
         """Write the terminal record; returns False if the client is
         gone (the caller then counts the request as failed)."""
-        return self._write(encode_terminal(envelope_bytes, self.fmt))
+        return self._write(encode_terminal(envelope_bytes))
 
     # ------------------------------------------------------------------
     def _write(self, data: bytes) -> bool:

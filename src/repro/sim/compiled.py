@@ -55,8 +55,10 @@ from ..circuit.gates import GateType, ONE, X, ZERO, eval_gate
 from ..circuit.netlist import Circuit
 from .faultsim import FaultSimulator
 
-#: Selectable simulation backends (`ATPGConfig.sim_backend`, CLI
-#: ``--backend``): the reference oracle and this module's kernels.
+#: The simulation backends behind the ``backend`` argument of the
+#: factories (:func:`make_fault_simulator`, the resident dropper,
+#: learning): this module's kernels, which every run uses, and the
+#: reference interpreters that tests keep as the oracle.
 SIM_BACKENDS = ("reference", "compiled")
 
 #: Integer opcodes of the lowered gate schedule.

@@ -18,7 +18,7 @@ fault) and ``value`` (the stuck-at value) works; see
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..circuit.gates import GateType, ONE, X, ZERO, eval_gate
 from ..circuit.netlist import Circuit
@@ -217,23 +217,17 @@ def fault_simulate(circuit: Circuit, sequence: Sequence[Dict[str, int]],
 
 def fault_coverage(circuit: Circuit,
                    sequences: Iterable[Sequence[Dict[str, int]]],
-                   faults: Sequence, width: Optional[int] = None,
-                   backend: str = "reference") -> float:
+                   faults: Sequence, backend: str = "reference") -> float:
     """Fraction of ``faults`` detected by any of the ``sequences``.
 
-    ``backend='compiled'`` grades through the straight-line kernels of
-    :mod:`repro.sim.compiled`; coverage is identical either way.  ``width=None`` takes the backend's
-    default batch width (coverage never depends on batch packing).
+    Grades through the resident dropper, so each sequence is simulated
+    against the faults still undetected.  ``backend='compiled'`` uses
+    the straight-line kernels of :mod:`repro.sim.compiled`; coverage is
+    identical either way.
     """
-    from .compiled import make_fault_simulator
+    from .resident import make_resident_dropper
 
-    sim = make_fault_simulator(circuit, width=width, backend=backend)
-    hit: Set[int] = set()
-    for sequence in sequences:
-        remaining = [i for i in range(len(faults)) if i not in hit]
-        if not remaining:
-            break
-        subset = [faults[i] for i in remaining]
-        for local in sim.detected(sequence, subset):
-            hit.add(remaining[local])
-    return len(hit) / len(faults) if faults else 1.0
+    dropper = make_resident_dropper(circuit, faults, range(len(faults)),
+                                    backend=backend)
+    detected = sum(len(dropper.drop(sequence)) for sequence in sequences)
+    return detected / len(faults) if faults else 1.0

@@ -1,18 +1,20 @@
-"""Fault dropper for the ATPG driver's dropping loop.
+"""The one grading loop: simulate a sequence, drop what it detects.
 
 :func:`repro.atpg.driver.run_atpg` fault-simulates every generated
 sequence against the still-open faults so collateral detections drop
-out of the target list (HITEC-style dropping).  One dropper serves the
-whole loop: ``drop`` simulates a sequence against the live subset and
-retires what it detects, ``discard`` retires a fault decided elsewhere
-(the targeted fault itself, whatever its outcome).  A retired fault is
-never reported again.
+out of the target list (HITEC-style dropping); the ``fault_sim`` stage
+and :func:`repro.sim.faultsim.fault_coverage` grade a test set the same
+way.  One dropper serves the whole loop: ``drop`` simulates a
+sequence against the live subset and retires what it detects,
+``discard`` retires a fault decided elsewhere (the targeted fault
+itself, whatever its outcome).  A retired fault is never reported
+again.
 
 Detection sets -- and therefore every
 :class:`~repro.atpg.driver.ATPGStats` field -- are identical on both
 backends, by the same contract the differential harness enforces.
-Droppers are owned by one driver loop and are deliberately
-single-threaded (no locks): each ``run_atpg`` call builds its own.
+Droppers are owned by one loop and are deliberately single-threaded
+(no locks): each ``run_atpg`` call or grading builds its own.
 """
 
 from __future__ import annotations

@@ -192,8 +192,9 @@ def test_config_error_envelope():
     ("atpg", {"max_frames": None}),
     ("atpg", {"max_faults": 2.5}),
     ("atpg", {"sim_width": True}),
-    # Schema version 6 removed the 'array' backend.
+    # Schema version 9 removed the backend and engine selectors.
     ("atpg", {"sim_backend": "array"}),
+    ("atpg", {"atpg_engine": "reference"}),
     ("learn", {"equivalence_width": -5}),
     ("learn", {"equivalence_width": 0}),
     ("learn", {"equivalence_max_support": -1}),

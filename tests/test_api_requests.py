@@ -12,6 +12,7 @@ Two golden contracts live here:
 
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.api import (
     StatsRequest,
     SuiteRequest,
     UntestableRequest,
+    execute,
     learn_digest,
     request_from_dict,
 )
@@ -111,9 +113,22 @@ def test_wrong_schema_version_rejected():
 
 
 def test_bad_config_value_is_config_error():
+    # Schema version 9 removed sim_backend: it is an unknown key.
     with pytest.raises(ConfigError, match="sim_backend"):
         request_from_dict({"kind": "atpg", "spec": "s27",
                            "config": {"atpg": {"sim_backend": "gpu"}}})
+
+
+@pytest.mark.parametrize("kind", sorted(REQUEST_KINDS))
+def test_removed_priority_field_is_a_parse_error(kind):
+    """Schema version 9 removed the admission class: the daemon has one
+    FIFO queue, so ``priority`` is an unknown field on every kind."""
+    assert "priority" not in {f.name for f in
+                              fields(REQUEST_KINDS[kind])}
+    response = execute({"kind": kind, "priority": "interactive"})
+    assert not response.ok
+    assert response.error["code"] == "parse"
+    assert "priority" in response.error["message"]
 
 
 def test_bad_mode_rejected():
@@ -139,7 +154,7 @@ def test_non_dict_rejected():
 #: key changes with it.  That can be a deliberate, reviewed event
 #: (update the pin); it must never be a drive-by.
 PINNED_DEFAULT_CONFIG_DIGEST = (
-    "0f2bbde73c652f45f84cb495603c22d7b3016c86de021ff9d1d3bc2e31c3cc8d")
+    "8c4f4b858656c22c626551e262b1310292e3c384f88006e169ba7571eff78269")
 
 
 def test_default_config_digest_is_pinned():

@@ -94,13 +94,11 @@ def test_flagless_command_builds_the_default_config(argv):
 def test_knob_flags_reach_the_config():
     args = build_parser().parse_args(
         ["suite", "s27", "--window", "3", "--backtrack-limit", "7",
-         "--max-frames", "9", "--max-faults", "5", "--backend",
-         "reference", "--atpg-engine", "reference", "--retime", "1",
+         "--max-frames", "9", "--max-faults", "5", "--retime", "1",
          "--jobs", "2"])
     config = _COMMANDS["suite"][0](args).config
     assert (config.atpg.max_frames, config.atpg.backtrack_limit,
-            config.atpg.max_faults, config.atpg.sim_backend,
-            config.atpg.atpg_engine) == (3, 7, 5, "reference", "reference")
+            config.atpg.max_faults) == (3, 7, 5)
     assert (config.learn.max_frames, config.retime, config.jobs) == (9, 1, 2)
 
 
@@ -115,7 +113,23 @@ def test_atpg_rejects_removed_array_backend(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["atpg", "s27", "--backend", "array"])
     assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_removed_selector_flags_are_usage_errors(capsys):
+    """Schema version 9 removed the backend and engine selectors and
+    the daemon's streaming switches: tests reach the oracles through
+    the library factories, and /v1/stream is always on."""
+    for argv in (["atpg", "s27", "--backend", "reference"],
+                 ["atpg", "s27", "--atpg-engine", "reference"],
+                 ["learn", "s27", "--backend", "compiled"],
+                 ["compare", "s27", "--atpg-engine", "incremental"],
+                 ["serve", "--no-stream"],
+                 ["serve", "--stream"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_resolve_missing_bench_path_clear_error():

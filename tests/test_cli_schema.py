@@ -83,7 +83,9 @@ def test_json_schema_stable(command, capsys, golden):
         "REPRO_UPDATE_GOLDEN=1 and review the diff")
 
 
-def test_backend_knob_is_part_of_the_contract(capsys):
-    """The config block must advertise which backend produced the run."""
+def test_config_block_names_no_backend_or_engine(capsys):
+    """Schema version 9: every run uses the compiled simulator and the
+    incremental engine, so the config block names neither."""
     payload = _capture(capsys, COMMANDS["atpg"])
-    assert payload["config"]["atpg"]["sim_backend"] == "compiled"
+    assert payload["schema_version"] == 9
+    assert not {"sim_backend", "atpg_engine"} & set(payload["config"]["atpg"])

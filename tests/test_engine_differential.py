@@ -130,19 +130,16 @@ def _stats_key(stats: ATPGStats):
                                        ("industrial", 2),
                                        ("industrial", 5))
                           for m in MODES])
-def test_atpg_stats_identical(kind, seed, mode):
+def test_atpg_stats_identical(kind, seed, mode, use_oracles):
     """Whole ATPG runs (with dropping) match stat for stat."""
     circuit = _build(kind, seed)
     learned = learn(circuit) if mode != "none" else None
-    rows = {}
-    for engine in ("reference", "incremental"):
-        rows[engine] = run_atpg(circuit, learned=learned,
-                                config=ATPGConfig(
-                                    mode=mode, backtrack_limit=8,
-                                    max_frames=4, max_faults=20,
-                                    keep_sequences=True,
-                                    atpg_engine=engine))
-    assert _stats_key(rows["reference"]) == _stats_key(rows["incremental"])
+    config = ATPGConfig(mode=mode, backtrack_limit=8, max_frames=4,
+                        max_faults=20, keep_sequences=True)
+    incremental = run_atpg(circuit, learned=learned, config=config)
+    use_oracles(simulator=False)
+    reference = run_atpg(circuit, learned=learned, config=config)
+    assert _stats_key(reference) == _stats_key(incremental)
 
 
 def test_make_atpg_factory():

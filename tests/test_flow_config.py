@@ -18,8 +18,8 @@ def test_atpg_config_defaults_valid():
     {"backtrack_limit": 0},
     {"max_frames": 0},
     {"max_faults": 0},
-    {"sim_backend": "array"},
-    {"atpg_engine": "turbo"},
+    {"fill_seed": "x"},
+    {"mode": None},
     # Mistyped values: a bool is not an int, None only where Optional.
     {"backtrack_limit": "x"},
     {"max_frames": None},
@@ -33,8 +33,7 @@ def test_atpg_config_rejects_bad_values(kwargs):
 
 def test_atpg_config_round_trip():
     config = ATPGConfig(mode="known", backtrack_limit=99, max_frames=4,
-                        max_faults=7, fill_seed=1, keep_sequences=True,
-                        atpg_engine="reference")
+                        max_faults=7, fill_seed=1, keep_sequences=True)
     rebuilt = ATPGConfig.from_dict(config.to_dict())
     assert rebuilt == config
 
@@ -49,6 +48,17 @@ def test_removed_width_knobs_are_unknown_keys(section, key):
     still names one fails as an unknown key."""
     with pytest.raises(ConfigError, match=key):
         ReproConfig.from_dict({section: {key: None}})
+
+
+@pytest.mark.parametrize("key", ["sim_backend", "atpg_engine"])
+def test_removed_selector_knobs_are_unknown_keys(key):
+    """Schema version 9 removed the backend and engine selectors; the
+    pipeline always runs the compiled simulator and the incremental
+    engine, and tests reach the oracles through the library
+    factories."""
+    assert not hasattr(ATPGConfig(), key)
+    with pytest.raises(ConfigError, match=key):
+        ReproConfig.from_dict({"atpg": {key: "reference"}})
 
 
 def test_atpg_config_rejects_unknown_keys():

@@ -122,9 +122,15 @@ def test_keep_sequences_opt_in():
     assert lean.row()["sequences"] == lean.sequences_total
 
     config = ReproConfig(atpg=ATPGConfig(keep_sequences=True))
-    full = PipelineSession("figure1", config).atpg("known")
+    session = PipelineSession("figure1", config)
+    full = session.atpg("known")
     assert len(full.sequences) == full.sequences_total
     assert _comparable(full) == _comparable(lean)
+    # Kept vectors reach the report; a lean report has no section.
+    assert session.report()["vectors"] == {"known": full.sequences}
+    lean_session = PipelineSession("figure1")
+    lean_session.atpg("known")
+    assert "vectors" not in lean_session.report()
 
 
 def test_fault_sim_stage():

@@ -5,17 +5,24 @@ keeps its test sequences; the reference :class:`~repro.sim.faultsim.
 FaultSimulator` then grades them against the run's own fault list.  The
 set of faults the tests detect must have exactly the reported ``det``
 size, and no fault pre-marked untestable by a learned tie may be among
-them.
+them.  The same holds for the test vectors an API client receives in
+the envelope's ``vectors`` section, streamed or one-shot.
 """
+
+import http.client
+import json
+import threading
+from contextlib import closing
 
 import pytest
 
+from repro.api import ATPGRequest, ArtifactStore, make_server
 from repro.atpg import run_atpg
 from repro.atpg.driver import prepare_fault_list, tie_untestable_indices
 from repro.atpg.faults import Fault
 from repro.circuit.gates import ZERO
 from repro.core import learn
-from repro.flow import ATPGConfig
+from repro.flow import ATPGConfig, ReproConfig
 from repro.flow.session import resolve_circuit
 from repro.sim.faultsim import FaultSimulator
 
@@ -60,3 +67,57 @@ def test_primary_output_fault_is_not_tie_untestable():
     assert g34 in faults
     tied = tie_untestable_indices(circuit, learned, faults, classes)
     assert faults.index(g34) not in tied
+
+
+def _post(server, path: str, body: bytes) -> bytes:
+    host, port = server.server_address[:2]
+    with closing(http.client.HTTPConnection(host, port,
+                                            timeout=300)) as conn:
+        conn.request("POST", path, body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 200
+        return response.read()
+
+
+def _stream_envelope(raw: bytes) -> bytes:
+    """The terminal envelope bytes of one NDJSON stream."""
+    offset = 0
+    while True:
+        end = raw.index(b"\n", offset)
+        record = json.loads(raw[offset:end])
+        offset = end + 1
+        if record.get("event") == "result" and "bytes" in record:
+            assert len(raw) == offset + record["bytes"]
+            return raw[offset:]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_envelope_vectors_detect_exactly_the_reported_faults(spec):
+    config = ReproConfig(atpg=ATPGConfig(keep_sequences=True))
+    body = ATPGRequest(spec=spec, config=config, modes=MODES,
+                       canonical=True).to_canonical_json().encode()
+    server = make_server(port=0, store=ArtifactStore())
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        one_shot = _post(server, "/v1/execute", body)
+        streamed = _stream_envelope(_post(server, "/v1/stream", body))
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert streamed == one_shot
+    envelope = json.loads(one_shot)
+    assert set(envelope["vectors"]) == set(MODES)
+    circuit = _learned(spec).circuit
+    faults, _ = prepare_fault_list(circuit)
+    simulator = FaultSimulator(circuit)
+    for mode in MODES:
+        row = envelope["atpg"][mode]
+        vectors = envelope["vectors"][mode]
+        assert len(vectors) == row["sequences"]
+        detected = set()
+        for sequence in vectors:
+            detected |= simulator.detected(sequence, faults)
+        assert len(detected) == row["det"], mode

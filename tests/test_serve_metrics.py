@@ -219,7 +219,6 @@ def test_queue_depth_histogram_uses_depth_buckets():
             conn.request("POST", "/v1/execute", body=body)
             conn.getresponse().read()
         settle(server)
-        snapshot = server.metrics.histogram_snapshot(
-            "queue_depth", {"class": "interactive"})
+        snapshot = server.metrics.histogram_snapshot("queue_depth")
         assert snapshot is not None
         assert snapshot["bounds"] == list(DEPTH_BUCKETS)

@@ -3,8 +3,8 @@
 Headline contract: an NDJSON stream's terminal envelope is
 **byte-identical** to the ``POST /v1/execute`` body (and so to
 ``repro ... --json --canonical`` stdout) for the same request.  Around
-it: SSE, request ids, explicit cancel, deadlines, 429 backpressure and
-the cancellation counters those paths leave in ``/v1/metrics``.
+it: request ids, explicit cancel, deadlines, 429 backpressure and the
+cancellation counters those paths leave in ``/v1/metrics``.
 """
 
 import http.client
@@ -125,43 +125,17 @@ def test_ndjson_stream_terminal_envelope_byte_identical():
     assert {"start", "end"} <= statuses
 
 
-def test_execute_endpoint_streams_on_accept_header():
+def test_execute_endpoint_answers_one_shot_whatever_it_accepts():
     request = ATPGRequest(spec="figure1", config=tiny_config(),
                           modes=("known",), canonical=True)
     reference = execute(request).to_json().encode()
     with running_server() as server:
-        conn, response = open_stream(
+        status, headers, raw = post(
             server, request.to_canonical_json().encode(),
-            path="/v1/execute",
             headers={"Accept": "application/x-ndjson"})
-        with closing(conn):
-            events, envelope = read_ndjson_stream(response)
-    assert envelope == reference
-    assert events  # the same request streamed, not one-shot
-
-
-def test_sse_stream_carries_equal_envelope():
-    request = ATPGRequest(spec="figure1", config=tiny_config(),
-                          modes=("known",), canonical=True)
-    reference = json.loads(execute(request).to_json())
-    with running_server() as server:
-        conn, response = open_stream(
-            server, request.to_canonical_json().encode(),
-            headers={"Accept": "text/event-stream"})
-        with closing(conn):
-            assert response.getheader("Content-Type") == \
-                "text/event-stream"
-            raw = response.read().decode()
-    blocks = [block for block in raw.split("\n\n") if block]
-    parsed = []
-    for block in blocks:
-        lines = dict(line.split(": ", 1) for line in block.splitlines())
-        parsed.append((lines["event"], json.loads(lines["data"])))
-    assert parsed[-1][0] == "result"
-    # SSE re-serializes (line-oriented), so equality is canonical JSON
-    # equality, not byte identity -- that guarantee is NDJSON-only.
-    assert parsed[-1][1] == reference
-    assert any(kind == "progress" for kind, _ in parsed[:-1])
+    assert status == 200
+    assert headers["Content-Type"] == "application/json"
+    assert raw == reference
 
 
 def test_request_id_echoed_and_client_chosen():
@@ -251,7 +225,7 @@ def test_server_deadline_cap_clamps_requests_naming_none():
 
 def test_overload_rejected_with_retry_after_header():
     with running_server(max_active=1, queue_depth=0) as server:
-        server.admission.acquire("interactive")  # wedge the only slot
+        server.admission.acquire()  # wedge the only slot
         try:
             status, headers, raw = post(
                 server, json.dumps({"kind": "list"}).encode())
@@ -268,45 +242,29 @@ def test_overload_rejected_with_retry_after_header():
         assert status == 200
         settle(server, "requests_total", count=2)
         metrics = get_json(server, "/v1/metrics")
+        assert metrics["metrics"]["counters"]["rejections_total"] == 1
         assert metrics["metrics"]["counters"][
-            'rejections_total{class="interactive"}'] == 1
-        assert metrics["metrics"]["counters"][
-            'requests_total{class="interactive",kind="list",'
-            'outcome="rejected"}'] == 1
+            'requests_total{kind="list",outcome="rejected"}'] == 1
 
 
 def test_invalid_priority_rejected_by_request_validation():
+    # Schema v9 has no priority field: even a once-valid class is an
+    # unknown field.
     with running_server() as server:
         status, _, raw = post(server, json.dumps(
-            {"kind": "list", "priority": "vip"}).encode())
+            {"kind": "list", "priority": "batch"}).encode())
         assert status == 400
         payload = json.loads(raw)
         assert payload["ok"] is False
+        assert payload["error"]["code"] == "parse"
         assert "priority" in payload["error"]["message"]
-
-
-def test_streaming_can_be_disabled():
-    request = json.dumps({"kind": "list"}).encode()
-    with running_server(allow_streaming=False) as server:
-        status, _, raw = post(server, request, path="/v1/stream")
-        assert status == 400
-        assert "disabled" in json.loads(raw)["error"]["message"]
-        # Accept headers are ignored too: one-shot JSON comes back.
-        status, headers, raw = post(
-            server, request,
-            headers={"Accept": "application/x-ndjson"})
-        assert status == 200
-        assert headers["Content-Type"] == "application/json"
-        assert json.loads(raw)["ok"] is True
-        assert get_json(server, "/v1/health")["streaming"] is False
 
 
 def test_health_exposes_serve_tier_cache_counters():
     with running_server() as server:
         health = get_json(server, "/v1/health")
-        assert health["streaming"] is True
-        assert health["admission"] == {"active": 0, "interactive": 0,
-                                       "batch": 0}
+        assert "streaming" not in health
+        assert health["admission"] == {"active": 0, "queued": 0}
         assert {"hits", "misses"} <= set(health["kernel_cache"])
         store_stats = health["artifact_store"]
         assert {"memory_hits", "misses", "flight_waits"} <= set(store_stats)
