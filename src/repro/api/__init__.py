@@ -6,7 +6,7 @@ One stable surface for every client.  Build a typed request, hand it to
     from repro.api import ATPGRequest, execute
 
     response = execute(ATPGRequest(spec="s27", modes=("known",)))
-    assert response.ok and response.envelope()["schema_version"] == 9
+    assert response.ok and response.envelope()["schema_version"] == 10
     print(response.result["atpg"]["known"])
 
 The CLI is a thin argv adapter over this module; ``repro serve``

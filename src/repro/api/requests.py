@@ -78,7 +78,9 @@ __all__ = [
 #: digest changed with the canonical form), and added the ``vectors``
 #: result section, ``{mode: [sequence, ...]}``, to reports whose
 #: config keeps the test sequences.
-SCHEMA_VERSION = 9
+#: Version 10 added ``screened`` to every ATPG result row: the part of
+#: ``untest`` the structural screen settled before PODEM.
+SCHEMA_VERSION = 10
 
 
 @dataclass

@@ -7,8 +7,11 @@ aborted counts plus CPU time.
 
 Flow per fault (HITEC-style):
 
-1. faults untestable by tie gates are marked untestable up front (the
-   learning by-product of section 3.2);
+1. faults the structural screen (:mod:`repro.atpg.screen`) proves
+   untestable are marked untestable up front: a sound three-valued
+   check of excitation and propagation, whose value sets learned tie
+   gates narrow (the learning by-product of section 3.2), so it
+   contains every tie verdict;
 2. PODEM-based sequential test generation (:class:`SequentialATPG`);
 3. on success the generated sequence is fault-simulated against all
    remaining faults and every detected fault is dropped -- the paper's
@@ -30,6 +33,7 @@ from ..core.ties import untestable_faults_from_ties
 from ..sim.resident import make_resident_dropper
 from .engine import make_atpg
 from .faults import Fault, collapse_with_classes
+from .screen import screen_untestable
 
 
 @dataclass
@@ -42,6 +46,9 @@ class ATPGStats:
     total_faults: int = 0
     detected: int = 0
     untestable: int = 0
+    #: The part of ``untestable`` the structural screen settled before
+    #: PODEM; the rest are PODEM's own proofs.
+    screened: int = 0
     aborted: int = 0
     #: Faults detected by fault simulation of other faults' tests.
     collateral: int = 0
@@ -73,6 +80,7 @@ class ATPGStats:
             "total": self.total_faults,
             "det": self.detected,
             "untest": self.untestable,
+            "screened": self.screened,
             "aborted": self.aborted,
             "test_cov_%": round(100.0 * self.test_coverage, 2),
             "sequences": self.sequences_total,
@@ -108,11 +116,12 @@ def tie_untestable_indices(circuit: Circuit,
                            learned: Optional[LearnResult],
                            faults: Sequence[Fault],
                            classes=None) -> Set[int]:
-    """Indices of faults pre-marked untestable by tie gates.
+    """Indices of faults proved untestable by tie gates alone.
 
-    The ATPG loop skips (and counts) exactly these faults.  Empty
-    without ``learned`` -- the paper's true no-learning baseline never
-    sees ties.
+    The paper's section 3.2 count (Table 4).  :func:`run_atpg` pre-marks
+    the screen's verdicts instead, a superset of these.  Empty without
+    ``learned`` -- the paper's true no-learning baseline never sees
+    ties.
     """
     if learned is None:
         return set()
@@ -145,9 +154,10 @@ def run_atpg(circuit: Circuit, *,
     ``ATPGConfig()``) carries every knob of the run.  Its ``mode`` is
     'none' (no sequential learning), 'known' or 'forbidden' (the two
     Table-5 learning scenarios).  ``learned`` must be supplied for the
-    learning modes and is also used (in every mode it is present) to
-    pre-mark tie-gate untestable faults -- pass ``learned=None`` with
-    ``mode='none'`` for the paper's true no-learning baseline.
+    learning modes; in every mode it is present its ties also narrow
+    the structural screen that pre-marks untestable faults -- pass
+    ``learned=None`` with ``mode='none'`` for the paper's true
+    no-learning baseline.  The screen runs in every mode.
     ``faults`` replaces the collapsed fault list.  The engine and the
     dropper come from the module globals ``make_atpg`` and
     ``make_resident_dropper``, so a test can swap in the reference
@@ -190,9 +200,10 @@ def run_atpg(circuit: Circuit, *,
     input_names = [circuit.nodes[i].name for i in circuit.inputs]
 
     status: Dict[int, str] = {}
-    for index in tie_untestable_indices(circuit, learned, faults,
-                                        classes):
+    ties = learned.ties if learned is not None else None
+    for index in screen_untestable(circuit, faults, classes, ties):
         status[index] = "untestable"
+    stats.screened = len(status)
     remaining: List[int] = [i for i in range(len(faults))
                             if i not in status]
     # One dropper serves the whole loop, retiring each fault once it

@@ -84,8 +84,8 @@ def test_json_schema_stable(command, capsys, golden):
 
 
 def test_config_block_names_no_backend_or_engine(capsys):
-    """Schema version 9: every run uses the compiled simulator and the
-    incremental engine, so the config block names neither."""
+    """Since schema version 9 every run uses the compiled simulator and
+    the incremental engine, so the config block names neither."""
     payload = _capture(capsys, COMMANDS["atpg"])
-    assert payload["schema_version"] == 9
+    assert payload["schema_version"] == 10
     assert not {"sim_backend", "atpg_engine"} & set(payload["config"]["atpg"])

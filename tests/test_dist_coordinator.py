@@ -321,7 +321,7 @@ def test_http_lease_complete_status_health():
         status, health = http_json("GET", server.url, HEALTH_PATH)
         assert status == 200 and health["ok"]
         assert health["dist"]["units"] == 1
-        assert health["schema_version"] == 9
+        assert health["schema_version"] == 10
 
         status, grant = http_json("POST", server.url, LEASE_PATH,
                                   {"worker_id": "w1"})

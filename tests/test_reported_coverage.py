@@ -4,13 +4,16 @@ For each circuit and mode a default-config :func:`~repro.atpg.run_atpg`
 keeps its test sequences; the reference :class:`~repro.sim.faultsim.
 FaultSimulator` then grades them against the run's own fault list.  The
 set of faults the tests detect must have exactly the reported ``det``
-size, and no fault pre-marked untestable by a learned tie may be among
-them.  The same holds for the test vectors an API client receives in
-the envelope's ``vectors`` section, streamed or one-shot.
+size.  No fault the structural screen pre-marks untestable may be
+among them, nor among the faults 256 random 30-frame sequences detect,
+and the screen's verdicts contain every tie verdict.  The same holds
+for the test vectors an API client receives in the envelope's
+``vectors`` section, streamed or one-shot.
 """
 
 import http.client
 import json
+import random
 import threading
 from contextlib import closing
 
@@ -20,6 +23,7 @@ from repro.api import ATPGRequest, ArtifactStore, make_server
 from repro.atpg import run_atpg
 from repro.atpg.driver import prepare_fault_list, tie_untestable_indices
 from repro.atpg.faults import Fault
+from repro.atpg.screen import screen_untestable
 from repro.circuit.gates import ZERO
 from repro.core import learn
 from repro.flow import ATPGConfig, ReproConfig
@@ -29,13 +33,47 @@ from repro.sim.faultsim import FaultSimulator
 SPECS = ("figure1", "like:s641@0.1", "like:s967@0.1")
 MODES = ("none", "forbidden", "known")
 
+#: The random refutation of screen verdicts: this many sequences of
+#: this many frames, graded by the reference fault simulator.
+RANDOM_SEQUENCES = 256
+RANDOM_FRAMES = 30
+
 _LEARNED = {}
+_RANDOM_HITS = {}
 
 
 def _learned(spec):
     if spec not in _LEARNED:
         _LEARNED[spec] = learn(resolve_circuit(spec))
     return _LEARNED[spec]
+
+
+def _randomly_detected(spec):
+    """Indices of the default fault list that random sequences detect,
+    among the faults the screen settles with or without learned ties."""
+    if spec not in _RANDOM_HITS:
+        learned = _learned(spec)
+        circuit = learned.circuit
+        config = ATPGConfig()
+        faults, classes = prepare_fault_list(circuit,
+                                             max_faults=config.max_faults,
+                                             fill_seed=config.fill_seed)
+        candidates = sorted(
+            set(screen_untestable(circuit, faults, classes))
+            | set(screen_untestable(circuit, faults, classes,
+                                    learned.ties)))
+        subset = [faults[i] for i in candidates]
+        names = [circuit.nodes[i].name for i in circuit.inputs]
+        rng = random.Random(f"screen:{spec}")
+        simulator = FaultSimulator(circuit)
+        hits = set()
+        for _ in range(RANDOM_SEQUENCES):
+            sequence = [{name: rng.randint(0, 1) for name in names}
+                        for _ in range(RANDOM_FRAMES)]
+            hits |= {candidates[i]
+                     for i in simulator.detected(sequence, subset)}
+        _RANDOM_HITS[spec] = hits
+    return _RANDOM_HITS[spec]
 
 
 @pytest.mark.parametrize("spec,mode", [(s, m) for s in SPECS for m in MODES])
@@ -55,6 +93,12 @@ def test_kept_tests_detect_exactly_the_reported_faults(spec, mode):
     assert len(detected) == stats.detected
     tied = tie_untestable_indices(circuit, used, faults, classes)
     assert not detected & tied
+    screened = set(screen_untestable(
+        circuit, faults, classes, used.ties if used is not None else None))
+    assert len(screened) == stats.screened
+    assert tied <= screened
+    assert not detected & screened
+    assert not _randomly_detected(spec) & screened
 
 
 def test_primary_output_fault_is_not_tie_untestable():
