@@ -29,10 +29,9 @@ applied at window frames >= t.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..circuit.gates import (
     CONTROLLING_VALUE,
@@ -233,9 +232,6 @@ class SequentialATPG:
         self._is_seq_a: List[bool] = [n.is_sequential for n in nodes]
         #: Random probes before accepting an untestable verdict.
         self._refutation_trials = 30
-        # Backtrace recursion spans window x logic depth.
-        sys.setrecursionlimit(max(sys.getrecursionlimit(),
-                                  10000 + 100 * self._n))
 
     # ------------------------------------------------------------------
     # public API
@@ -727,54 +723,31 @@ class SequentialATPG:
         is_input_a = self._is_input_a
         is_seq_a = self._is_seq_a
 
-        def walk(frame: int, nid: int, value: int
-                 ) -> Optional[Tuple[Tuple[int, int], int]]:
-            if (frame, nid) in dead:
-                return None
-            gv = gvs[frame]
-            if gv[nid] != X:
-                return None  # already decided (possibly by implication)
-            if is_input_a[nid]:
-                return ((frame, nid), value)
+        def expand(frame: int, nid: int, value: int
+                   ) -> Tuple[int, int, List[int]]:
+            """Steps from an X non-input node: the frame and value they
+            ask for, and the fanins to try, in order (none: dead end)."""
             fanins = fanins_a[nid]
             if is_seq_a[nid]:
-                if frame == 0:
-                    dead.add((frame, nid))
-                    return None
-                found = walk(frame - 1, fanins[0], value)
-                if found is None:
-                    dead.add((frame, nid))
-                return found
+                return frame - 1, value, [fanins[0]] if frame > 0 else []
             t = gt[nid]
             if t is GateType.TIE0 or t is GateType.TIE1:
-                dead.add((frame, nid))
-                return None
+                return frame, value, []
             if t is GateType.NOT or t is GateType.BUF:
-                found = walk(frame, fanins[0],
-                             inv(value) if t is GateType.NOT else value)
-                if found is None:
-                    dead.add((frame, nid))
-                return found
+                return (frame, inv(value) if t is GateType.NOT else value,
+                        [fanins[0]])
+            gv = gvs[frame]
+            xs = [f for f in fanins if gv[f] == X]
             if t is GateType.XOR or t is GateType.XNOR:
-                xs = [f for f in fanins if gv[f] == X]
                 parity = value ^ (1 if t is GateType.XNOR else 0)
                 for f in fanins:
                     if gv[f] == ONE:
                         parity ^= 1
-                for f in sorted(xs,
-                                key=lambda f: min(tst.cc0[f], tst.cc1[f])):
-                    want = parity if len(xs) == 1 else ZERO
-                    found = walk(frame, f, want)
-                    if found is not None:
-                        return found
-                dead.add((frame, nid))
-                return None
+                return (frame, parity if len(xs) == 1 else ZERO,
+                        sorted(xs, key=lambda f: min(tst.cc0[f],
+                                                     tst.cc1[f])))
             control = control_a[nid]
             needed = inv(value) if invert_a[nid] else value
-            xs = [f for f in fanins if gv[f] == X]
-            if not xs:
-                dead.add((frame, nid))
-                return None
             if needed == control:
                 # One controlling input suffices: prefer the input the
                 # learned invariants already force to the controlling
@@ -783,24 +756,40 @@ class SequentialATPG:
                 forb = state.forb[frame]
                 non_control = inv(control)
                 cc = tst.cc0 if control == ZERO else tst.cc1
-                ordered = sorted(
-                    xs, key=lambda f: (forb.get(f) != non_control,
-                                       cc[f]))
-                want = control
-            else:
-                # All inputs must be non-controlling: attack the hardest
-                # first (fail fast), but any input is a legal next step.
-                cc = tst.cc0 if control == ONE else tst.cc1
-                ordered = sorted(xs, key=lambda f: -cc[f])
-                want = inv(control)
-            for f in ordered:
-                found = walk(frame, f, want)
-                if found is not None:
-                    return found
-            dead.add((frame, nid))
-            return None
+                return frame, control, sorted(
+                    xs, key=lambda f: (forb.get(f) != non_control, cc[f]))
+            # All inputs must be non-controlling: attack the hardest
+            # first (fail fast), but any input is a legal next step.
+            cc = tst.cc0 if control == ONE else tst.cc1
+            return frame, inv(control), sorted(xs, key=lambda f: -cc[f])
 
-        return walk(frame, nid, value)
+        # Depth-first search on an explicit stack (a walk spans window x
+        # logic depth): an entry is a node still being tried, with the
+        # frame and value of its steps and an iterator over the fanins
+        # left.  A node whose fanins all fail becomes a dead end.
+        stack: List[Tuple[Tuple[int, int], int, int, Iterator[int]]] = []
+        step: Optional[Tuple[int, int, int]] = (frame, nid, value)
+        while True:
+            if step is not None:
+                frame, nid, value = step
+                # A decided node (possibly by implication) or a known
+                # dead end is no step at all.
+                if (frame, nid) not in dead and gvs[frame][nid] == X:
+                    if is_input_a[nid]:
+                        return ((frame, nid), value)
+                    to_frame, want, order = expand(frame, nid, value)
+                    stack.append(((frame, nid), to_frame, want,
+                                  iter(order)))
+            if not stack:
+                return None
+            key, to_frame, want, order = stack[-1]
+            fanin = next(order, None)
+            if fanin is None:
+                stack.pop()
+                dead.add(key)
+                step = None
+            else:
+                step = (to_frame, fanin, want)
 
     # ------------------------------------------------------------------
     def _sequence(self, assignments: Dict[Tuple[int, int], int],

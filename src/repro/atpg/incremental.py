@@ -16,7 +16,13 @@ and moves it incrementally:
   through its combinational fanout cone in topological order (a heap of
   topo positions), crosses into later frames only through flip-flops
   whose captured value actually changed, and dies out as soon as no
-  frame-boundary value differs;
+  frame-boundary value differs.  Each popped gate is recomputed by its
+  own exec-generated good-plane and faulty-plane evaluator
+  (:func:`repro.sim.compiled.compile_gate_evaluators`, the frame
+  kernel's three-valued expressions one gate at a time).  Its work
+  follows the decision's cone, which is why it is kept over a
+  whole-frame kernel rebuild: that costs the whole circuit per frame
+  and loses on large netlists;
 * **frame wavefront** (learning modes) -- the learned-implication
   fixpoints (:meth:`_apply_known` / :meth:`_apply_forbidden`) are
   deliberately bounded in rounds, which makes sub-frame increments
@@ -29,8 +35,9 @@ and moves it incrementally:
   (:func:`repro.sim.compiled.compile_frame_kernel`: a three-valued
   table lookup per gate, the fault site patched in place, the faulty
   plane then canonicalized over the fault cone); the forbidden shadow
-  takes one flat topological pass, and only the ``known`` mode's
-  re-evaluation rounds use the event propagation of ``mode='none'``;
+  takes one flat topological pass over the compiled good-plane
+  evaluators, and only the ``known`` mode's re-evaluation rounds use
+  the event propagation of ``mode='none'``;
 * **compiled refutation probe** -- the random probe run before an
   untestable verdict simulates the reference's sequences, in the same
   order, on :class:`~repro.sim.compiled.CompiledFaultSimulator`;
@@ -59,10 +66,10 @@ same fixpoint as full re-evaluation.  And the faulty plane is kept
 exists iff faulty differs from good), so frame states are pure
 functions of the assignments and compare with ``==``.
 
-Target selection reuses work on the same grounds.  A backtrace
-``walk(frame, node, value)`` fails exactly when no unassigned PI can be
-reached from ``(frame, node)`` through X nodes (one frame back at each
-FF, never past frame 0).  That does not depend on ``value`` or on the
+Target selection reuses work on the same grounds.  A backtrace walk
+that asks ``(frame, node)`` for a value fails exactly when no unassigned
+PI can be reached from there through X nodes (one frame back at each
+FF, never past frame 0).  That does not depend on the value or on the
 objective, and it stays true under every deeper decision, because
 three-valued evaluation and the round-bounded implication fixpoints
 only refine X.  So :meth:`_podem` keeps one insertion-ordered memo per
@@ -76,11 +83,12 @@ that list.
 
 Flat circuit structure (fanin tuples, topo positions, per-node
 combinational fanouts, fanout/sequential pairs, output flags, backtrace
-step kinds and fanin orders, FF data pairs, the frame kernel) is
+step kinds and fanin orders, FF data pairs, the frame kernel and the
+per-gate evaluators) is
 lowered once per circuit -- reusing
 :func:`repro.sim.compiled.compile_circuit`'s cached lowering -- and
 shared by every engine instance via a fingerprint-keyed, lock-guarded
-cache; only circuits PODEM runs on pay for the kernel.  Fault cones
+cache; only circuits PODEM runs on pay for the compiled code.  Fault cones
 ride on the circuit-level ``transitive_fanout`` memo.
 """
 
@@ -89,7 +97,7 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..circuit.gates import (
     CONTROLLING_VALUE,
@@ -106,8 +114,9 @@ from ..sim.compiled import (
     CompiledFaultSimulator,
     compile_circuit,
     compile_frame_kernel,
+    compile_gate_evaluators,
 )
-from .engine import SequentialATPG, _faulty_value, _good_value
+from .engine import SequentialATPG
 from .faults import Fault, fault_site_source
 from .scoap import compute_testability
 
@@ -141,9 +150,9 @@ class _CircuitIndex:
     """Flat per-circuit structure shared by every incremental engine."""
 
     __slots__ = ("circuit", "n", "gtype", "fanins", "comb_fanouts",
-                 "fanout_pairs", "topo_pos", "ff_pairs", "inputs",
+                 "fanout_pairs", "topo", "topo_pos", "ff_pairs", "inputs",
                  "outputs", "is_output", "is_comb", "bt_kind", "bt_first",
-                 "bt_second", "frame_kernel")
+                 "bt_second", "frame_kernel", "good_eval", "faulty_eval")
 
     def __init__(self, circuit: Circuit):
         cc = compile_circuit(circuit)  # cached opcode/fanin lowering
@@ -165,8 +174,10 @@ class _CircuitIndex:
         self.fanout_pairs: List[Tuple[Tuple[int, bool], ...]] = [
             tuple((fo, nodes[fo].is_sequential) for fo in node.fanouts)
             for node in nodes]
+        #: Gate ids in topological order, and each gate's position there.
+        self.topo: Tuple[int, ...] = cc.gate_nids
         self.topo_pos = [0] * cc.n
-        for pos, nid in enumerate(circuit.topo_order):
+        for pos, nid in enumerate(self.topo):
             self.topo_pos[nid] = pos
         #: (FF output nid, FF data-input nid) in circuit FF order.
         self.ff_pairs: Tuple[Tuple[int, int], ...] = tuple(
@@ -199,10 +210,14 @@ class _CircuitIndex:
                     fanins, key=lambda f: easy[f]))
                 self.bt_second[nid] = tuple(sorted(
                     fanins, key=lambda f: -hard[f]))
-        #: Fresh-frame good/faulty evaluation (see ``_eval_fresh_frame``);
-        #: compiled here rather than with the simulator kernels so that
-        #: only circuits PODEM actually runs on pay for it.
+        #: Fresh-frame good/faulty evaluation (see ``_eval_fresh_frame``)
+        #: and the per-gate evaluators of the event wavefront, from the
+        #: same three-valued tables; compiled here rather than with the
+        #: simulator kernels so that only circuits PODEM actually runs
+        #: on pay for them.
         self.frame_kernel = compile_frame_kernel(cc.schedule)
+        self.good_eval, self.faulty_eval = compile_gate_evaluators(
+            cc.schedule, cc.n)
 
 
 _INDEX_CACHE: "OrderedDict[str, _CircuitIndex]" = OrderedDict()
@@ -548,8 +563,9 @@ class IncrementalATPG(SequentialATPG):
         idx = self._idx
         cone = self._fault_cone(fault)
         tp = idx.topo_pos
-        fanins = idx.fanins
-        gtype = idx.gtype
+        topo = idx.topo
+        good_eval = idx.good_eval
+        faulty_eval = idx.faulty_eval
         comb_fanouts = idx.comb_fanouts
         fault_node = fault.node
         fault_pin = fault.pin
@@ -558,23 +574,25 @@ class IncrementalATPG(SequentialATPG):
         gv = state.gv[frame]
         fv = state.fv[frame]
         dset = state.dset[frame]
-        heap: List[Tuple[int, int]] = []
+        # The heap holds topological positions: a gate's position orders
+        # it, and ``topo`` maps it back to the gate.
+        heap: List[int] = []
         pushed: Set[int] = set()
         for s in self_seeds:
             if s not in pushed:
                 pushed.add(s)
-                heappush(heap, (tp[s], s))
+                heappush(heap, tp[s])
         for s in seeds:
             for fo in comb_fanouts[s]:
                 if fo not in pushed:
                     pushed.add(fo)
-                    heappush(heap, (tp[fo], fo))
+                    heappush(heap, tp[fo])
         while heap:
-            _, nid = heappop(heap)
+            nid = topo[heappop(heap)]
             changed = False
             old_g = gv[nid]
             if old_g == X:
-                good = _good_value(gtype[nid], fanins[nid], gv)
+                good = good_eval[nid](gv)
                 if good != X:
                     gv[nid] = good
                     changed = True
@@ -587,12 +605,11 @@ class IncrementalATPG(SequentialATPG):
                         faulty = fault.value
                     else:
                         vals = [fv.get(f, gv[f])
-                                for f in fanins[nid]]
+                                for f in idx.fanins[nid]]
                         vals[fault_pin] = fault.value
-                        faulty = eval_gate(gtype[nid], vals)
+                        faulty = eval_gate(idx.gtype[nid], vals)
                 else:
-                    faulty = _faulty_value(gtype[nid], fanins[nid],
-                                           gv, fv)
+                    faulty = faulty_eval[nid](gv, fv)
                 if faulty != g_now:
                     fv[nid] = faulty
                 elif old_entry is not None:
@@ -607,7 +624,7 @@ class IncrementalATPG(SequentialATPG):
                 for fo in comb_fanouts[nid]:
                     if fo not in pushed:
                         pushed.add(fo)
-                        heappush(heap, (tp[fo], fo))
+                        heappush(heap, tp[fo])
 
     def _propagate(self, fault: Fault, frame: int, seeds, entry) -> None:
         """Event-driven update from changed sources, frames forward.
@@ -816,12 +833,11 @@ class IncrementalATPG(SequentialATPG):
         shadow = list(gv)
         for nid, banned in forb.items():
             shadow[nid] = inv(banned)
-        gtype = self._idx.gtype
-        fanins = self._idx.fanins
-        for nid in self.circuit.topo_order:
+        good_eval = self._idx.good_eval
+        for nid in self._idx.topo:
             if shadow[nid] != X:
                 continue
-            out = _good_value(gtype[nid], fanins[nid], shadow)
+            out = good_eval[nid](shadow)
             if out != X:
                 forb[nid] = inv(out)
                 shadow[nid] = out
@@ -970,15 +986,12 @@ class IncrementalATPG(SequentialATPG):
         control_a = self._control_a
         invert_a = self._invert_a
 
-        def walk(frame: int, nid: int, value: int
-                 ) -> Optional[Tuple[Tuple[int, int], int]]:
-            key = frame * n + nid
-            if key in dead:
-                return None
-            gv = gvs[frame]
-            if gv[nid] != X:
-                return None  # already decided (possibly by implication)
+        def expand(frame: int, nid: int, value: int
+                   ) -> Tuple[int, int, List[int]]:
+            """Steps from an X non-input node: the frame and value they
+            ask for, and the fanins to try, in order (none: dead end)."""
             kind = kind_a[nid]
+            gv = gvs[frame]
             if kind == _BT_GATE:
                 control = control_a[nid]
                 needed = 1 - value if invert_a[nid] else value
@@ -994,39 +1007,48 @@ class IncrementalATPG(SequentialATPG):
                                if forb.get(f) == non_control]
                               + [f for f in xs
                                  if forb.get(f) != non_control])
-                    want = control
-                else:
-                    # Every input non-controlling: hardest first.
-                    xs = [f for f in second_a[nid] if gv[f] == X]
-                    want = 1 - control
-                for f in xs:
-                    found = walk(frame, f, want)
-                    if found is not None:
-                        return found
-            elif kind == _BT_INPUT:
-                return ((frame, nid), value)
-            elif kind == _BT_SEQ:
-                if frame > 0:
-                    found = walk(frame - 1, fanins_a[nid][0], value)
-                    if found is not None:
-                        return found
-            elif kind == _BT_NOT or kind == _BT_BUF:
-                found = walk(frame, fanins_a[nid][0],
-                             1 - value if kind == _BT_NOT else value)
-                if found is not None:
-                    return found
-            elif kind == _BT_XOR or kind == _BT_XNOR:
+                    return frame, control, xs
+                # Every input non-controlling: hardest first.
+                return (frame, 1 - control,
+                        [f for f in second_a[nid] if gv[f] == X])
+            if kind == _BT_SEQ:
+                return (frame - 1, value,
+                        [fanins_a[nid][0]] if frame > 0 else [])
+            if kind == _BT_NOT or kind == _BT_BUF:
+                return (frame, 1 - value if kind == _BT_NOT else value,
+                        [fanins_a[nid][0]])
+            if kind == _BT_XOR or kind == _BT_XNOR:
                 xs = [f for f in first_a[nid] if gv[f] == X]
                 parity = value ^ (1 if kind == _BT_XNOR else 0)
                 for f in fanins_a[nid]:
                     if gv[f] == ONE:
                         parity ^= 1
-                want = parity if len(xs) == 1 else ZERO
-                for f in xs:
-                    found = walk(frame, f, want)
-                    if found is not None:
-                        return found
-            dead[key] = None
-            return None
+                return frame, parity if len(xs) == 1 else ZERO, xs
+            return frame, value, []  # _BT_DEAD: a TIE gate
 
-        return walk(frame, nid, value)
+        # The reference's depth-first walk on an explicit stack: an entry
+        # is a node still being tried, with the frame and value of its
+        # steps and an iterator over the fanins left.
+        stack: List[Tuple[int, int, int, Iterator[int]]] = []
+        step: Optional[Tuple[int, int, int]] = (frame, nid, value)
+        while True:
+            if step is not None:
+                frame, nid, value = step
+                key = frame * n + nid
+                # Already decided (possibly by implication), or a known
+                # dead end: no step at all.
+                if key not in dead and gvs[frame][nid] == X:
+                    if kind_a[nid] == _BT_INPUT:
+                        return ((frame, nid), value)
+                    to_frame, want, order = expand(frame, nid, value)
+                    stack.append((key, to_frame, want, iter(order)))
+            if not stack:
+                return None
+            key, to_frame, want, order = stack[-1]
+            fanin = next(order, None)
+            if fanin is None:
+                stack.pop()
+                dead[key] = None
+                step = None
+            else:
+                step = (to_frame, fanin, want)

@@ -176,23 +176,25 @@ _FRAME_CHAIN = {
 }
 
 
-def _frame_expr(op: int, fis: Tuple[int, ...], plane: str) -> str:
-    """Three-valued value of one gate over plane ``plane`` (locals)."""
+def _frame_expr(op: int, fis: Tuple[int, ...], operand: str) -> str:
+    """Three-valued value of one gate; ``operand.format(f)`` reads fanin
+    ``f`` (a local such as ``"g{}"``, or a list/dict read)."""
     if op == OP_TIE0:
         return str(ZERO)
     if op == OP_TIE1:
         return str(ONE)
     if op == OP_BUF:
-        return f"{plane}{fis[0]}"
+        return operand.format(fis[0])
     if op == OP_NOT:
-        return f"N[{plane}{fis[0]}]"
+        return f"N[{operand.format(fis[0])}]"
     base, final = _FRAME_CHAIN[op]
     if len(fis) == 1:  # one-input AND/OR/XOR is a buffer, its dual NOT
-        return f"{plane}{fis[0]}" if base == final else f"N[{plane}{fis[0]}]"
-    expr = f"{plane}{fis[0]}"
+        first = operand.format(fis[0])
+        return first if base == final else f"N[{first}]"
+    expr = operand.format(fis[0])
     for f in fis[1:-1]:
-        expr = f"{base}[{expr}][{plane}{f}]"
-    return f"{final}[{expr}][{plane}{fis[-1]}]"
+        expr = f"{base}[{expr}][{operand.format(f)}]"
+    return f"{final}[{expr}][{operand.format(fis[-1])}]"
 
 
 def _frame_lines(op: int, nid: int, fis: Tuple[int, ...]) -> List[str]:
@@ -203,9 +205,9 @@ def _frame_lines(op: int, nid: int, fis: Tuple[int, ...]) -> List[str]:
     ``fix(*faulty fanin values)``.
     """
     fanin_args = ", ".join(f"f{f}" for f in fis)
-    return [f" gv[{nid}] = g{nid} = {_frame_expr(op, fis, 'g')}",
+    return [f" gv[{nid}] = g{nid} = {_frame_expr(op, fis, 'g{}')}",
             f" fl[{nid}] = f{nid} = fix({fanin_args}) if site == {nid} "
-            f"else {_frame_expr(op, fis, 'f')}"]
+            f"else {_frame_expr(op, fis, 'f{}')}"]
 
 
 def compile_frame_kernel(schedule) -> Callable:
@@ -247,6 +249,42 @@ def compile_frame_kernel(schedule) -> Callable:
             part(gv, fl, site, fix)
 
     return kernel
+
+
+def compile_gate_evaluators(schedule, n: int
+                            ) -> Tuple[List[Optional[Callable]],
+                                       List[Optional[Callable]]]:
+    """exec one three-valued evaluator per plane for every scheduled gate.
+
+    Returns ``(good, faulty)``, lists indexed by node id (None off the
+    schedule): ``good[nid](gv)`` is the gate's value over the value list
+    ``gv``, ``faulty[nid](gv, fv)`` its value when fanin ``f`` reads
+    ``fv.get(f, gv[f])`` (a sparse faulty plane over a good one).  The
+    expressions are :func:`compile_frame_kernel`'s, over the same
+    ``_FRAME_TABLES`` (here module globals of the generated code), so an
+    event-driven evaluator that recomputes one gate at a time shares the
+    kernel's gate semantics.  Long schedules compile in ``_CHUNK_GATES``
+    pieces.
+    """
+    good: List[Optional[Callable]] = [None] * n
+    faulty: List[Optional[Callable]] = [None] * n
+    for start in range(0, len(schedule), _CHUNK_GATES):
+        chunk = schedule[start:start + _CHUNK_GATES]
+        lines = ["G = ("]
+        faulty_lines = ["F = ("]
+        for op, _nid, fis in chunk:
+            lines.append(f" lambda gv: {_frame_expr(op, fis, 'gv[{}]')},")
+            faulty_lines.append(
+                " lambda gv, fv: "
+                f"{_frame_expr(op, fis, 'fv.get({0}, gv[{0}])')},")
+        namespace: Dict[str, object] = dict(_FRAME_TABLES)
+        exec(compile("\n".join(lines + [")"] + faulty_lines + [")"]),
+                     "<repro.sim.compiled:gate>", "exec"), namespace)
+        for (_op, nid, _fis), g, f in zip(chunk, namespace["G"],
+                                          namespace["F"]):
+            good[nid] = g
+            faulty[nid] = f
+    return good, faulty
 
 
 def _compile_pattern_kernels(schedule) -> List[Callable]:

@@ -8,7 +8,8 @@ here runs both engines on the same input and requires exact equality of
 * per-fault :class:`~repro.atpg.engine.TestResult`\\ s -- status, the
   generated sequence, backtrack/decision counts and the detected-at
   window -- across 200+ generated circuits (plain random, retimed and
-  multi-clock-domain industrial-like) in every learn mode;
+  multi-clock-domain industrial-like) in every learn mode, and on two
+  real-sized profiles whose fault cones run much deeper;
 * whole-run :class:`~repro.atpg.driver.ATPGStats` including collateral
   drops and kept sequences;
 * the trailed window state itself: a decide followed by a backtrack
@@ -19,6 +20,7 @@ comparisons rely on is pinned down here too (see
 ``test_faulty_plane_is_canonical``).
 """
 
+import functools
 import random
 import zlib
 
@@ -35,7 +37,7 @@ from repro.atpg.driver import ATPGStats
 from repro.circuit import industrial_like, random_circuit, retime_circuit
 from repro.circuit.gates import ZERO
 from repro.core import learn
-from repro.flow import ATPGConfig
+from repro.flow import ATPGConfig, resolve_circuit
 
 MODES = ("none", "known", "forbidden")
 
@@ -115,6 +117,33 @@ DEEP_CASES = CASES[::4]
 def test_engines_identical_per_fault_deep(kind, seed):
     _assert_engines_identical(kind, seed, backtrack_limit=60,
                               max_frames=6, sample=8)
+
+
+#: Circuits whose fault cones run far deeper than the generated corpus's:
+#: the event wavefront's cone-limited scheduling on a real-sized
+#: netlist.  At the default limits nearly every fault there aborts, so
+#: the decision and backtrack counts carry the comparison.
+LARGE_SPECS = ("like:s5378@0.5", "like:s1423@1")
+
+
+@functools.lru_cache(maxsize=None)
+def _large(spec):
+    circuit = resolve_circuit(spec)
+    faults = random.Random(1).sample(collapse_faults(circuit), 8)
+    return circuit, learn(circuit).relations, faults
+
+
+@pytest.mark.parametrize("spec,mode", [(s, m) for s in LARGE_SPECS
+                                       for m in ("none", "known")])
+def test_engines_identical_on_large_circuits(spec, mode):
+    """Default limits, 8 collapsed faults: identical TestResults."""
+    circuit, relations, faults = _large(spec)
+    reference = SequentialATPG(circuit, relations=relations, mode=mode)
+    incremental = IncrementalATPG(circuit, relations=relations, mode=mode)
+    for fault in faults:
+        expect = _result_key(reference.generate(fault))
+        got = _result_key(incremental.generate(fault))
+        assert got == expect, fault.describe(circuit)
 
 
 def _stats_key(stats: ATPGStats):
